@@ -55,8 +55,6 @@ from .similarity import (
     SimilarityParams,
     TernarySequence,
     detect_extremes,
-    dif,
-    score_all,
     sim,
 )
 from .simulator import (
@@ -67,7 +65,7 @@ from .simulator import (
     Xorshift64Star,
     generate,
 )
-from .tracer import Trace, TracerParams, Tracker, search_radius, update_traces
+from .tracer import Trace, TracerParams, Tracker, search_radius
 from .video_features import RatioSample, RatioSequence, interpolate_gap, ratio_sequence
 
 __version__ = "0.1.0"

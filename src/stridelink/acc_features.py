@@ -105,16 +105,23 @@ def resample_to_frames(
     """Linearly interpolate the filtered magnitude at each frame timestamp.
 
     Interpolation (rather than decimation by dropping) tolerates phone
-    timestamp jitter against the frame clock. Frame timestamps outside the
-    sensor's span clamp to its first/last value; fully disjoint spans are an
-    error.
+    timestamp jitter against the frame clock. The output has one value per
+    frame index from the first to the last; an index the clock skips takes
+    a timestamp interpolated from its neighbours. Frame timestamps outside
+    the sensor's span clamp to its first/last value; fully disjoint spans
+    are an error.
     """
     if not frame_clock:
         raise ValueError("empty frame clock")
-    frames = [f for f, _ in frame_clock]
-    frame_ts = np.asarray([t for _, t in frame_clock], dtype=float)
-    if frames != list(range(frames[0], frames[0] + len(frames))):
-        raise ValueError("frame clock indices must be contiguous and increasing")
+    frames = np.asarray([f for f, _ in frame_clock], dtype=float)
+    if np.any(np.diff(frames) <= 0):
+        raise ValueError("frame clock indices must increase")
+    first = frame_clock[0][0]
+    frame_ts = np.interp(
+        np.arange(first, frame_clock[-1][0] + 1, dtype=float),
+        frames,
+        np.asarray([t for _, t in frame_clock], dtype=float),
+    )
     t = np.asarray(seq.timestamps, dtype=float)
     if frame_ts[-1] < t[0] or frame_ts[0] > t[-1]:
         raise EmptyOverlap(
@@ -122,7 +129,7 @@ def resample_to_frames(
             f"frames span [{frame_clock[0][1]}, {frame_clock[-1][1]}] us"
         )
     resampled = np.interp(frame_ts, t, np.asarray(seq.values, dtype=float))
-    return AccFeatureSequence(seq.sensor_id, frames[0], tuple(float(v) for v in resampled))
+    return AccFeatureSequence(seq.sensor_id, first, tuple(float(v) for v in resampled))
 
 
 def step_features(

@@ -35,6 +35,8 @@ from .simulator import ConfigError, PersonSpec, ScenarioConfig, ScenarioData, ge
 from .tracer import TracerParams
 
 DEFAULT_SWEEP_TS = (0.33, 1.0, 2.0, 3.0, 4.0)
+MATCH_KEYS = {"detections", "sensors", "sensors_dir", "truth", "fps", "ts_gate",
+              "tracer", "filter", "similarity"}
 
 
 class CliError(ValueError):
@@ -91,13 +93,19 @@ def _pipeline_params(mc: dict) -> PipelineParams:
     sim_keys = dict(mc.get("similarity", {}))
     if "extreme_window" in sim_keys:
         sim_keys["d"] = sim_keys.pop("extreme_window")
-    return PipelineParams(
-        fps=float(mc.get("fps", 30.0)),
-        ts_gate=float(mc.get("ts_gate", 2.0)),
-        tracer=_from_dict(TracerParams, mc.get("tracer", {}), "match.tracer"),
-        filter_spec=_from_dict(FilterSpec, mc.get("filter", {}), "match.filter"),
-        similarity=_from_dict(SimilarityParams, sim_keys, "match.similarity"),
-    )
+    tracer = _from_dict(TracerParams, mc.get("tracer", {}), "match.tracer")
+    filter_spec = _from_dict(FilterSpec, mc.get("filter", {}), "match.filter")
+    similarity = _from_dict(SimilarityParams, sim_keys, "match.similarity")
+    try:
+        return PipelineParams(
+            fps=float(mc.get("fps", 30.0)),
+            ts_gate=float(mc.get("ts_gate", 2.0)),
+            tracer=tracer,
+            filter_spec=filter_spec,
+            similarity=similarity,
+        )
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"match: {exc}") from exc
 
 
 def _resolve(base_dir: str, path: str) -> str:
@@ -108,6 +116,9 @@ def _load_match_inputs(cfg: dict, config_path: str):
     mc = cfg.get("match")
     if not isinstance(mc, dict):
         raise CliError('config needs a "match" object')
+    unknown = set(mc) - MATCH_KEYS
+    if unknown:
+        raise CliError(f"match: unknown keys {sorted(unknown)}")
     base = os.path.dirname(os.path.abspath(config_path))
     det_path = mc.get("detections")
     if not det_path:

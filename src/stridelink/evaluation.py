@@ -36,18 +36,11 @@ class UndefinedRate(ValueError):
 @dataclass
 class EvalCounters:
     """Per-person claim tallies. n_id[p] counts frames p's sensor was
-    paired to some trace (the claim reading used by r_cd); n_id_trace[p]
-    counts frames a trace of p was paired to some sensor (the alternative
-    reading, kept for inspection); n_cd[p] counts frames both sides of a
-    pair agree on p, identical under either reading."""
+    paired to some trace (the claims r_cd counts); n_cd[p] counts those
+    frames in which that trace was p's too."""
 
     n_id: dict[str, int] = field(default_factory=dict)
-    n_id_trace: dict[str, int] = field(default_factory=dict)
     n_cd: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def persons_seen(self) -> int:
-        return len(set(self.n_id) | set(self.n_id_trace))
 
     @property
     def total_id(self) -> int:
@@ -73,7 +66,6 @@ def accumulate(counters: EvalCounters, assignment: Assignment, truth: GroundTrut
         person = truth.sensor_to_person[sensor_id]
         trace_person = truth.trace_to_person[trace_id]
         counters.n_id[person] = counters.n_id.get(person, 0) + 1
-        counters.n_id_trace[trace_person] = counters.n_id_trace.get(trace_person, 0) + 1
         if trace_person == person:
             counters.n_cd[person] = counters.n_cd.get(person, 0) + 1
     return counters

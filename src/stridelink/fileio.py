@@ -84,6 +84,8 @@ def read_sensor_csv(path: str, sensor_id: str | None = None) -> SensorStream:
                 ax, ay, az = (float(v) for v in row[1:4])
             except (IndexError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
+                raise FormatError(f"{path}:{lineno}: ax, ay, az must be finite, got {','.join(row[1:4])}")
             if samples and ts <= samples[-1].timestamp:
                 raise FormatError(f"{path}:{lineno}: timestamp {ts} does not increase")
             samples.append(AccSampleRaw(ts, ax, ay, az))

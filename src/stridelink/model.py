@@ -7,6 +7,7 @@ safe to share across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -104,7 +105,8 @@ def validate_detection_log(frames: Sequence[DetectionFrame]) -> ValidationReport
 
     Pure report-style check: never raises, same input gives the same report.
     Flags non-monotone frame indices, non-monotone timestamps, and boxes
-    with non-positive dimensions (named by frame_index and box ordinal).
+    with non-finite fields or non-positive dimensions (named by frame_index
+    and box ordinal). Skipped frame indices are allowed.
     """
     report = ValidationReport()
     prev_index: int | None = None
@@ -121,6 +123,11 @@ def validate_detection_log(frames: Sequence[DetectionFrame]) -> ValidationReport
                 f"frame_index {frame.frame_index}: timestamp {frame.timestamp} does not increase past {prev_ts}"
             )
         for ordinal, box in enumerate(frame.boxes):
+            if not (math.isfinite(box.cx) and math.isfinite(box.cy)
+                    and math.isfinite(box.w) and math.isfinite(box.h)):
+                report.violations.append(
+                    f"frame_index {frame.frame_index} box {ordinal}: cx, cy, w, h must be finite"
+                )
             if box.w <= 0:
                 report.violations.append(
                     f"frame_index {frame.frame_index} box {ordinal}: w <= 0"

@@ -82,15 +82,12 @@ def _hungarian_min(cost: list[list[float]]) -> list[int]:
     return match
 
 
-def _max_weight(w: list[list[float]]) -> float:
-    """Optimal total weight of a square nonnegative matrix."""
-    n = len(w)
-    if n == 0:
-        return 0.0
+def _max_weight(w: list[list[float]]) -> tuple[float, list[int]]:
+    """Optimal total weight of a non-empty square nonnegative matrix, and
+    the column each row takes in the optimum found."""
     top = max(max(row) for row in w)
-    cost = [[top - x for x in row] for row in w]
-    match = _hungarian_min(cost)
-    return sum(w[i][match[i]] for i in range(n))
+    match = _hungarian_min([[top - x for x in row] for row in w])
+    return sum(w[i][match[i]] for i in range(len(w))), match
 
 
 def _solve_reduced(w: list[list[float]], rows: list[int], cols: list[int]) -> float:
@@ -100,7 +97,7 @@ def _solve_reduced(w: list[list[float]], rows: list[int], cols: list[int]) -> fl
         return 0.0
     sub = [[w[i][j] for j in cols] + [0.0] * (n - len(cols)) for i in rows]
     sub += [[0.0] * n for _ in range(n - len(rows))]
-    return _max_weight(sub)
+    return _max_weight(sub)[0]
 
 
 @dataclass(frozen=True)
@@ -140,16 +137,14 @@ def solve_lsap(weights: Mapping[tuple[str, str], float]) -> Assignment:
     for (t, s), wv in weights.items():
         w[row_index[t]][col_index[s]] = wv
 
-    best = _solve_reduced(w, list(range(nr)), list(range(n)))
+    best, base_cols = _max_weight(w)
     eps = _REL_EPS * max(1.0, abs(best))
 
     # Walk rows in id order, fixing the smallest column that still allows
     # an optimal completion. Solving a reduced problem per candidate is
     # n^4-ish in the worst case but the matrices here are tiny. While the
-    # walk still coincides with one optimal base solution, that base's own
-    # column needs no verification solve.
-    top = max(max(row) for row in w)
-    base_cols = _hungarian_min([[top - x for x in row] for row in w])[:nr]
+    # walk still coincides with the full solve's optimum (base_cols), that
+    # optimum's own column needs no verification solve.
     on_base = True
     free_cols = set(range(n))
     fixed: list[tuple[str, str]] = []

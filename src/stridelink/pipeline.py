@@ -1,11 +1,14 @@
 """End-to-end streaming pipeline: detections + sensor streams -> pairings.
 
 Per frame: advance the tracer, extend each live trace's ratio stream
-(filling detection gaps the same way the batch path does), feed every
-sensor's frame-aligned step feature, then score all gated (trace, sensor)
-pairs and solve both pairing stages. Similarity is computed incrementally:
-each pair keeps a running scorer that folds in extremums as their search
-windows finalize, so per-frame cost does not grow with elapsed time.
+(filling the frames a trace went unseen by linear interpolation, as
+`ratio_sequence` does), feed every sensor's frame-aligned step feature,
+then score all gated (trace, sensor) pairs and solve both pairing stages.
+Both kinds of stream sit on one absolute frame grid: a frame index the
+log skips gets filled values in every stream, but no result of its own.
+Similarity is computed incrementally: each pair keeps a running scorer
+that folds in extremums as their search windows finalize, so per-frame
+cost does not grow with elapsed time.
 
 Sensor filtering and frame alignment happen up front: the filter is causal,
 so precomputing its output is observationally identical to streaming it,
@@ -67,7 +70,7 @@ class MatchRun:
 
 class _TraceStream:
     """Ratio stream of one live trace: pushes observed h/w per sighting,
-    interpolating skipped frames exactly like the batch ratio sequence."""
+    interpolating skipped frames exactly like `ratio_sequence`."""
 
     def __init__(self, d: int, start_frame: int):
         self.extremes = ExtremeStream(d, start_frame)
@@ -130,8 +133,9 @@ def run_pipeline(
 
         for sid in sensor_ids:
             stream = sensor_streams[sid]
-            pos = f - acc_features[sid].start_frame
-            stream.push(acc_features[sid].values[pos])
+            values = acc_features[sid].values
+            for pos in range(len(stream), f - stream.start_frame + 1):
+                stream.push(values[pos])
 
         scores: dict[tuple[str, str], float] = {}
         for tid in sorted(trace_streams):

@@ -25,12 +25,8 @@ immutable, which keeps per-frame cost constant.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-from .acc_features import AccFeatureSequence
-from .video_features import RatioSequence
+from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -86,10 +82,6 @@ class TernarySequence:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def n_marks(self) -> int:
-        return sum(1 for v in self.values if v != 0)
-
 
 def _classify(values: Sequence[float], x: int, half: int) -> int:
     lo = max(0, x - half)
@@ -118,42 +110,11 @@ def detect_extremes(seq: Sequence[float], d: int = 10, start_frame: int = 0) -> 
     each side, truncating windows at the edges."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    half = (d + 1) // 2
-    marks = tuple(_classify(seq, x, half) for x in range(len(seq)))
-    return TernarySequence(marks, start_frame)
-
-
-def _nearest_same_mark(a: TernarySequence, frame: int, mark: int, d: int) -> int | None:
-    """Distance to the nearest position of a carrying `mark` within d frames
-    of `frame`, or None. Window is clamped to a's extent."""
-    pos = frame - a.start_frame
-    last = len(a.values) - 1
-    for dist in range(d + 1):
-        left = pos - dist
-        if 0 <= left <= last and a.values[left] == mark:
-            return dist
-        right = pos + dist
-        if dist and 0 <= right <= last and a.values[right] == mark:
-            return dist
-    return None
-
-
-def dif(
-    x: int,
-    t: TernarySequence,
-    a: TernarySequence,
-    d: int = 10,
-    no_match_penalty: float | None = None,
-) -> float:
-    """Alignment cost of t's position x against a: 0 for unmarked positions,
-    the distance to the nearest same-sign mark of a within d frames, or the
-    no-match penalty (1.5 * d by default)."""
-    mark = t.values[x]
-    if mark == 0:
-        return 0.0
-    penalty = 1.5 * d if no_match_penalty is None else no_match_penalty
-    dist = _nearest_same_mark(a, t.start_frame + x, mark, d)
-    return float(dist) if dist is not None else penalty
+    stream = ExtremeStream(d, start_frame)
+    for v in seq:
+        stream.push(v)
+    stream.flush()
+    return TernarySequence(tuple(stream.marks), start_frame)
 
 
 def sim(t: TernarySequence, a: TernarySequence, params: SimilarityParams = SimilarityParams()) -> float:
@@ -163,13 +124,9 @@ def sim(t: TernarySequence, a: TernarySequence, params: SimilarityParams = Simil
     zero; the floor (half the minimal nonzero offset) keeps the score
     finite and order-preserving.
     """
-    n = t.n_marks
-    if n == 0:
-        return 0.0
-    total = 0.0
-    for x in range(len(t.values)):
-        total += dif(x, t, a, params.dif_d, params.no_match_penalty)
-    return n / max(total, params.zero_denominator_floor)
+    scorer = PairScorer(_flushed(t), _flushed(a), params)
+    scorer.advance()
+    return scorer.score()
 
 
 @dataclass(frozen=True)
@@ -178,35 +135,6 @@ class SimilarityMatrix:
 
     scores: dict[tuple[str, str], float]
     as_of_frame: int
-
-
-def score_all(
-    ratio_features: Iterable[RatioSequence],
-    acc_features: Iterable[AccFeatureSequence],
-    params: SimilarityParams = SimilarityParams(),
-    ts_gate: float = 2.0,
-    fps: float = 30.0,
-) -> SimilarityMatrix:
-    """Score every (trace, sensor) pair whose sequences are both long enough.
-
-    Sequences shorter than ts_gate seconds of frames carry too little of a
-    step pattern to be meaningful and are left out of the matrix entirely.
-    """
-    gate = ts_gate * fps
-    ratios = [r for r in ratio_features if len(r) >= gate]
-    accs = [a for a in acc_features if len(a) >= gate]
-    as_of = -1
-    scores: dict[tuple[str, str], float] = {}
-    tern_a = {}
-    for a in accs:
-        tern_a[a.sensor_id] = detect_extremes(a.values, params.d, a.start_frame)
-        as_of = max(as_of, a.start_frame + len(a) - 1)
-    for r in ratios:
-        tern_t = detect_extremes(r.values(), params.d, r.start_frame)
-        as_of = max(as_of, r.start_frame + len(r) - 1)
-        for sensor_id, ta in tern_a.items():
-            scores[(r.trace_id, sensor_id)] = sim(tern_t, ta, params)
-    return SimilarityMatrix(scores, as_of)
 
 
 class ExtremeStream:
@@ -251,8 +179,8 @@ class PairScorer:
 
     A trace mark at frame f is folded in once the sensor stream is
     finalized through f + dif_d (or flushed), so every folded term is
-    immutable. After both streams flush, score() equals the batch sim()
-    of the full sequences.
+    immutable. After both streams flush, score() is the sim() of their
+    marks.
     """
 
     def __init__(self, trace_stream: ExtremeStream, sensor_stream: ExtremeStream,
@@ -295,3 +223,11 @@ class PairScorer:
         if self.n == 0:
             return 0.0
         return self.n / max(self.total, self.params.zero_denominator_floor)
+
+
+def _flushed(seq: TernarySequence) -> ExtremeStream:
+    """A finished stream carrying seq's marks, for scoring with PairScorer."""
+    stream = ExtremeStream(2, seq.start_frame)
+    stream.marks = list(seq.values)
+    stream.flushed = True
+    return stream

@@ -11,7 +11,7 @@ brief occlusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .model import BoundingBox, DetectionFrame
 
@@ -24,10 +24,12 @@ class TracerParams:
     max_gap: int = 15            # frames unseen before a trace terminates
 
 
-@dataclass(frozen=True)
+@dataclass
 class Trace:
+    """One person's boxes so far; the Tracker extends a live trace in place."""
+
     trace_id: str
-    entries: tuple[tuple[int, BoundingBox], ...]
+    entries: list[tuple[int, BoundingBox]]
     last_seen: int
     active: bool = True
 
@@ -47,94 +49,74 @@ def search_radius(box: BoundingBox, gap: int, radius_factor: float = 0.1) -> flo
     return radius_factor * box.h * gap
 
 
-def _trace_ordinal(trace_id: str) -> int:
-    return int(trace_id.lstrip("t"))
-
-
-def next_trace_id(traces: dict[str, Trace]) -> str:
-    ordinal = 1 + max((_trace_ordinal(t) for t in traces), default=-1)
-    return TRACE_ID_FORMAT.format(ordinal)
-
-
-def update_traces(
-    traces: dict[str, Trace],
-    frame: DetectionFrame,
-    params: TracerParams = TracerParams(),
-) -> tuple[dict[str, Trace], dict[int, str]]:
-    """Advance all traces by one frame of detections.
-
-    Candidate (trace, box) pairs inside the trace's search radius are matched
-    greedily in ascending center-distance order, ties broken by older trace
-    then lower box ordinal, so the partition is deterministic. Each trace
-    gains at most one box and each box joins at most one trace. Unmatched
-    boxes open new traces; traces unseen for more than max_gap frames are
-    terminated.
-
-    Returns the updated trace collection and a map of box ordinal -> trace_id
-    covering every box of the frame.
-    """
-    f = frame.frame_index
-    for trace in traces.values():
-        if trace.active and trace.last_seen >= f:
-            raise ValueError(
-                f"frame {f} is not ahead of active trace {trace.trace_id} (last_seen {trace.last_seen})"
-            )
-
-    updated = dict(traces)
-    candidates = []
-    for trace in traces.values():
-        if not trace.active:
-            continue
-        gap = f - trace.last_seen
-        if gap > params.max_gap:
-            continue
-        last = trace.last_box
-        radius = search_radius(last, gap, params.radius_factor)
-        for ordinal, box in enumerate(frame.boxes):
-            dist = math.hypot(box.cx - last.cx, box.cy - last.cy)
-            if dist <= radius:
-                candidates.append((dist, _trace_ordinal(trace.trace_id), ordinal))
-
-    candidates.sort()
-    assignments: dict[int, str] = {}
-    taken_traces: set[int] = set()
-    for dist, trace_ord, ordinal in candidates:
-        if trace_ord in taken_traces or ordinal in assignments:
-            continue
-        trace_id = TRACE_ID_FORMAT.format(trace_ord)
-        trace = updated[trace_id]
-        updated[trace_id] = replace(
-            trace,
-            entries=trace.entries + ((f, frame.boxes[ordinal]),),
-            last_seen=f,
-        )
-        taken_traces.add(trace_ord)
-        assignments[ordinal] = trace_id
-
-    for ordinal, box in enumerate(frame.boxes):
-        if ordinal in assignments:
-            continue
-        trace_id = next_trace_id(updated)
-        updated[trace_id] = Trace(trace_id, ((f, box),), last_seen=f)
-        assignments[ordinal] = trace_id
-
-    for trace_id, trace in updated.items():
-        if trace.active and f - trace.last_seen > params.max_gap:
-            updated[trace_id] = replace(trace, active=False)
-
-    return updated, assignments
-
-
-@dataclass
 class Tracker:
-    """Stateful wrapper around update_traces for one camera stream."""
+    """Traces of one camera stream, advanced one frame of detections at a time.
 
-    params: TracerParams = field(default_factory=TracerParams)
-    traces: dict[str, Trace] = field(default_factory=dict)
+    `traces` holds every trace ever seen, in order of birth; only the live
+    ones are searched when a frame arrives.
+    """
+
+    def __init__(self, params: TracerParams = TracerParams()):
+        self.params = params
+        self.traces: dict[str, Trace] = {}
+        self._live: dict[int, Trace] = {}  # trace ordinal -> live trace
+        self._next_ordinal = 0
 
     def update(self, frame: DetectionFrame) -> dict[int, str]:
-        self.traces, assignments = update_traces(self.traces, frame, self.params)
-        return assignments
+        """Advance all live traces by one frame of detections.
 
-    def active_traces(self) -> list[Trace]:
-        return [t for t in self.traces.values() if t.active]
+        Candidate (trace, box) pairs inside the trace's search radius are
+        matched greedily in ascending center-distance order, ties broken by
+        older trace then lower box ordinal, so the partition is
+        deterministic. Each trace gains at most one box and each box joins
+        at most one trace. Unmatched boxes open new traces; traces unseen
+        for more than max_gap frames are terminated.
+
+        Returns a map of box ordinal -> trace_id covering every box of the
+        frame.
+        """
+        f = frame.frame_index
+        params = self.params
+        for trace in self._live.values():
+            if trace.last_seen >= f:
+                raise ValueError(
+                    f"frame {f} is not ahead of active trace {trace.trace_id} (last_seen {trace.last_seen})"
+                )
+
+        candidates = []
+        for trace_ord, trace in self._live.items():
+            gap = f - trace.last_seen
+            if gap > params.max_gap:
+                continue
+            last = trace.last_box
+            radius = search_radius(last, gap, params.radius_factor)
+            for ordinal, box in enumerate(frame.boxes):
+                dist = math.hypot(box.cx - last.cx, box.cy - last.cy)
+                if dist <= radius:
+                    candidates.append((dist, trace_ord, ordinal))
+
+        candidates.sort()
+        assignments: dict[int, str] = {}
+        taken_traces: set[int] = set()
+        for dist, trace_ord, ordinal in candidates:
+            if trace_ord in taken_traces or ordinal in assignments:
+                continue
+            trace = self._live[trace_ord]
+            trace.entries.append((f, frame.boxes[ordinal]))
+            trace.last_seen = f
+            taken_traces.add(trace_ord)
+            assignments[ordinal] = trace.trace_id
+
+        for ordinal, box in enumerate(frame.boxes):
+            if ordinal in assignments:
+                continue
+            trace_ord = self._next_ordinal
+            self._next_ordinal += 1
+            trace = Trace(TRACE_ID_FORMAT.format(trace_ord), [(f, box)], last_seen=f)
+            self.traces[trace.trace_id] = self._live[trace_ord] = trace
+            assignments[ordinal] = trace.trace_id
+
+        for trace_ord in [k for k, t in self._live.items() if f - t.last_seen > params.max_gap]:
+            self._live.pop(trace_ord).active = False
+
+        return assignments

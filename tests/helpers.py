@@ -25,6 +25,28 @@ def oracle_marks(seq, d):
     return out
 
 
+def oracle_sim(t, a, d=10, t_start=0, a_start=0, penalty=None, floor=0.5):
+    """Literal score rule: the number of trace marks over the summed
+    distance from each trace mark to the nearest same-sign sensor mark at
+    most d frames away (1.5 * d when there is none), floored. t and a are
+    ternary lists whose first entries sit at frames t_start and a_start."""
+    if penalty is None:
+        penalty = 1.5 * d
+    sensor_marks = [(a_start + k, m) for k, m in enumerate(a) if m != 0]
+    n = 0
+    total = 0.0
+    for x, mark in enumerate(t):
+        if mark == 0:
+            continue
+        n += 1
+        frame = t_start + x
+        dists = [abs(g - frame) for g, m in sensor_marks if m == mark and abs(g - frame) <= d]
+        total += min(dists) if dists else penalty
+    if n == 0:
+        return 0.0
+    return n / max(total, floor)
+
+
 def brute_force_lsap(weights):
     """All injective row->column maps by enumeration; returns the optimal
     objective and every optimal positive-weight pair set."""

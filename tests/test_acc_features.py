@@ -149,6 +149,20 @@ def test_clock_edges_clamp_to_sensor_span():
     assert out.values == (2.0, 3.0, 4.0)
 
 
+def test_skipped_frame_index_takes_interpolated_timestamp():
+    seq = mag_seq([float(k) for k in range(100)], 100.0)  # value = ts / 10 ms
+    clock = [(5, 0), (6, 20_000), (8, 60_000), (9, 70_000)]
+    out = resample_to_frames(seq, clock)
+    assert list(out.frame_indices) == [5, 6, 7, 8, 9]
+    assert out.values == pytest.approx((0.0, 2.0, 4.0, 6.0, 7.0), abs=1e-12)
+
+
+def test_non_increasing_clock_rejected():
+    seq = mag_seq([1.0] * 100, 100.0)
+    with pytest.raises(ValueError):
+        resample_to_frames(seq, [(0, 0), (2, 10_000), (2, 20_000)])
+
+
 def test_full_chain_is_deterministic():
     stream = stream_of([(0.0, 1.0, 9.0 + math.sin(k / 3)) for k in range(500)])
     clock = frame_clock(n=120)

@@ -198,3 +198,63 @@ def test_invalid_scenario_value_reported(tmp_path, capsys):
     cfg = write_cfg(tmp_path, scenario=bad)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "stride_frequency" in capsys.readouterr().err
+
+
+def test_unknown_match_key_rejected(tmp_path, capsys):
+    simulated(tmp_path)
+    cfg = write_cfg(tmp_path, match={**MATCH, "tsgate": 9}, name="k.json")
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: match: unknown keys ['tsgate']"
+
+
+def test_invalid_match_value_reported(tmp_path, capsys):
+    simulated(tmp_path)
+    cfg = write_cfg(tmp_path, match={**MATCH, "fps": 0}, name="f.json")
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: match: fps must be positive"
+
+
+def test_non_finite_acceleration_names_the_line(tmp_path, capsys):
+    cfg = simulated(tmp_path)
+    csv_path = tmp_path / "out" / "sensors" / "p0-acc.csv"
+    lines = csv_path.read_text().splitlines()
+    ts, _, ay, az = lines[499].split(",")
+    lines[499] = ",".join([ts, "nan", ay, az])
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error:")
+    assert "p0-acc.csv:500" in err
+
+
+@pytest.mark.parametrize("field", ["cx", "cy", "w", "h"])
+def test_non_finite_box_rejected_by_validation(tmp_path, capsys, field):
+    cfg = simulated(tmp_path)
+    det = tmp_path / "out" / "detections.jsonl"
+    lines = det.read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["boxes"][1][field] = float("inf") if field == "w" else float("nan")
+    lines[3] = json.dumps(rec, separators=(",", ":"))
+    det.write_text("\n".join(lines) + "\n")
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error:")
+    assert "frame_index 3 box 1: cx, cy, w, h must be finite" in err
+
+
+def test_missing_frame_index_is_skipped(tmp_path):
+    scenario = {**SCENARIO, "duration": 20.0, "dropout_prob": 0.0}
+    cfg = write_cfg(tmp_path, scenario=scenario)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    det = tmp_path / "out" / "detections.jsonl"
+    lines = det.read_text().splitlines()
+    assert json.loads(lines[100])["frame"] == 100
+    del lines[100]
+    det.write_text("\n".join(lines) + "\n")
+    res = tmp_path / "res"
+    assert main(["match", "--config", cfg, "--out", str(res)]) == 0
+    records = [json.loads(l) for l in (res / "assignments.jsonl").read_text().splitlines()]
+    frames = [r["frame"] for r in records if r["stage"] == "refined"]
+    assert frames == [f for f in range(600) if f != 100]
+    assert records[-1]["pairs"] == [["t0000", "p0-acc"], ["t0001", "p1-acc"]]
+    assert read_summary(str(res / "summary.json"))["r_cd"]["refined"] > 0.9

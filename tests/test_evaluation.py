@@ -47,9 +47,7 @@ def test_rate_pools_across_persons():
 def test_correct_pair_counts_both_tallies():
     c = accumulate(EvalCounters(), pairing(("tA", "s0"), ("tB", "s1")), TRUTH)
     assert c.n_id == {"p0": 1, "p1": 1}
-    assert c.n_id_trace == {"p0": 1, "p1": 1}
     assert c.n_cd == {"p0": 1, "p1": 1}
-    assert c.persons_seen == 2
 
 
 def test_swapped_pair_claims_without_correctness():

@@ -2,12 +2,12 @@ import pytest
 
 from stridelink.model import BoundingBox, DetectionFrame
 from stridelink.pipeline import PipelineParams, _TraceStream, run_pipeline
-from stridelink.similarity import detect_extremes
 from stridelink.simulator import generate
 from stridelink.tracer import Trace
 from stridelink.video_features import ratio_sequence
 
 from conftest import two_person_config
+from helpers import oracle_marks
 
 
 def box_with_ratio(r):
@@ -27,7 +27,7 @@ def test_live_stream_fills_gaps_like_the_batch_path():
         stream.push(f, b.ratio)
     assert len(stream.extremes) == len(batch)
     stream.extremes.flush()
-    assert tuple(stream.extremes.marks) == detect_extremes(batch.values(), 10).values
+    assert stream.extremes.marks == oracle_marks(batch.values(), 10)
 
 
 def test_empty_input_yields_empty_run():

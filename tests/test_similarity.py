@@ -3,20 +3,20 @@ import random
 
 import pytest
 
-from stridelink.acc_features import AccFeatureSequence
+from stridelink import pipeline
+from stridelink.model import DetectionFrame
 from stridelink.similarity import (
     ExtremeStream,
     PairScorer,
     SimilarityParams,
     TernarySequence,
     detect_extremes,
-    dif,
-    score_all,
     sim,
 )
-from stridelink.video_features import RatioSample, RatioSequence
+from stridelink.simulator import generate
 
-from helpers import oracle_marks
+from conftest import two_person_config
+from helpers import oracle_marks, oracle_sim
 
 
 def tern(length, **marks):
@@ -92,37 +92,41 @@ def test_params_validation():
         SimilarityParams(no_match_penalty_factor=0.0)
 
 
-# dif
+# dif: the cost of one trace mark, seen through the score of a single mark
 
 
 def test_dif_zero_for_unmarked_position():
-    t = tern(30, p10=1)
-    a = tern(30, p12=1)
-    assert dif(5, t, a) == 0.0
+    # only the mark at 10 costs anything: 1 mark / offset 2
+    assert sim(tern(30, p10=1), tern(30, p12=1)) == 0.5
 
 
 def test_dif_zero_on_exact_alignment():
-    t = tern(30, p10=1)
-    a = tern(30, p10=1)
-    assert dif(10, t, a) == 0.0
+    # offset 0 falls to the denominator floor
+    assert sim(tern(30, p10=1), tern(30, p10=1)) == 2.0
 
 
 def test_dif_penalty_when_no_match_in_window():
     t = tern(40, p15=1)
     a = tern(40, p15=-1)  # only an opposite mark nearby
-    assert dif(15, t, a, d=10) == 15.0
+    assert sim(t, a) == 1 / 15.0
+    assert oracle_sim(t.values, a.values) == 1 / 15.0
 
 
 def test_dif_search_clamped_to_short_sequence():
     t = tern(5, p0=1)
     a = TernarySequence((0, 0, 0))
-    assert dif(0, t, a, d=10) == 15.0
+    assert sim(t, a) == 1 / 15.0
+    # the window -10..10 is cut to a's frames 3..5, where a mark sits at 3
+    a = TernarySequence((1, 0, 0), start_frame=3)
+    assert sim(t, a) == 1 / 3.0
+    assert oracle_sim(t.values, a.values, a_start=3) == 1 / 3.0
 
 
 def test_dif_finds_nearest_of_two_candidates():
     t = tern(40, p20=1)
     a = TernarySequence(tuple(1 if i in (17, 26) else 0 for i in range(40)))
-    assert dif(20, t, a) == 3.0
+    assert sim(t, a) == 1 / 3.0
+    assert oracle_sim(t.values, a.values) == 1 / 3.0
 
 
 # sim
@@ -166,11 +170,28 @@ def test_uniform_shift_costs_exactly_marks_times_shift():
     for p in positions:
         values[p] = 1
     t = TernarySequence(tuple(values))
-    params = SimilarityParams()
     for k in range(1, 6):
         a = TernarySequence(tuple(values), start_frame=k)
-        total = sum(dif(x, t, a, params.dif_d) for x in range(length))
-        assert total == len(positions) * k
+        # 3 marks, each k frames off: total offset 3k
+        assert sim(t, a) == len(positions) / (len(positions) * k)
+        assert oracle_sim(t.values, a.values, a_start=k) == sim(t, a)
+
+
+def test_sim_matches_literal_rule_on_random_marks():
+    rng = random.Random(31)
+    for _ in range(200):
+        d = rng.randint(2, 12)
+        t_vals = [rng.random() for _ in range(rng.randint(1, 80))]
+        a_vals = [rng.random() for _ in range(rng.randint(1, 80))]
+        t_start, a_start = rng.randint(0, 20), rng.randint(0, 20)
+        params = SimilarityParams(d=d)
+        got = sim(
+            TernarySequence(tuple(oracle_marks(t_vals, d)), t_start),
+            TernarySequence(tuple(oracle_marks(a_vals, d)), a_start),
+            params,
+        )
+        assert got == oracle_sim(oracle_marks(t_vals, d), oracle_marks(a_vals, d), d,
+                                 t_start, a_start)
 
 
 # streaming engine
@@ -199,12 +220,11 @@ def test_streaming_matches_batch_on_random_interleavings():
         ts.flush()
         as_.flush()
         scorer.advance()
-        batch = sim(
-            detect_extremes(t_vals, params.d, t_start),
-            detect_extremes(a_vals, params.d, a_start),
-            params,
+        expected = oracle_sim(
+            oracle_marks(t_vals, params.d), oracle_marks(a_vals, params.d),
+            params.d, t_start, a_start,
         )
-        assert scorer.score() == batch
+        assert scorer.score() == expected
 
 
 def test_finalized_marks_are_a_prefix_of_batch_marks():
@@ -227,41 +247,54 @@ def test_push_after_flush_rejected():
         stream.push(2.0)
 
 
-# score_all
-
-
-def ratio_seq(trace_id, values, start=0):
-    return RatioSequence(
-        trace_id, tuple(RatioSample(start + k, v) for k, v in enumerate(values))
-    )
-
-
-def acc_seq(sensor_id, values, start=0):
-    return AccFeatureSequence(sensor_id, start, tuple(values))
+# the similarity matrix the pipeline pairs from
 
 
 def wave(n, period, phase=0.0):
     return [math.cos(2 * math.pi * (k + phase) / period) for k in range(n)]
 
 
-def test_full_matrix_when_everything_gated_in():
-    ratios = [ratio_seq("tA", wave(70, 20)), ratio_seq("tB", wave(70, 30))]
-    accs = [acc_seq("s1", wave(70, 20)), acc_seq("s2", wave(70, 30))]
-    m = score_all(ratios, accs, ts_gate=2.0, fps=30.0)
-    assert set(m.scores) == {("tA", "s1"), ("tA", "s2"), ("tB", "s1"), ("tB", "s2")}
-    assert m.as_of_frame == 69
-
-
-def test_short_trace_row_absent():
-    ratios = [ratio_seq("tA", wave(70, 20)), ratio_seq("tB", wave(50, 30))]
-    accs = [acc_seq("s1", wave(70, 20))]
-    m = score_all(ratios, accs, ts_gate=2.0, fps=30.0)
-    assert set(m.scores) == {("tA", "s1")}
-
-
 def test_matching_rhythm_outscores_mismatched():
-    ratios = [ratio_seq("tA", wave(150, 20)), ratio_seq("tB", wave(150, 34))]
-    accs = [acc_seq("s1", wave(150, 20)), acc_seq("s2", wave(150, 34))]
-    m = score_all(ratios, accs, ts_gate=2.0, fps=30.0)
-    assert m.scores[("tA", "s1")] > m.scores[("tA", "s2")]
-    assert m.scores[("tB", "s2")] > m.scores[("tB", "s1")]
+    t_a, t_b = detect_extremes(wave(150, 20)), detect_extremes(wave(150, 34))
+    s_1, s_2 = detect_extremes(wave(150, 20)), detect_extremes(wave(150, 34))
+    assert sim(t_a, s_1) > sim(t_a, s_2)
+    assert sim(t_b, s_2) > sim(t_b, s_1)
+
+
+def scored_keys(monkeypatch, frames, streams):
+    """The (trace, sensor) keys of every matrix run_pipeline pairs, by frame."""
+    keys = {}
+    raw_pair = pipeline.raw_pair
+
+    def spy(matrix):
+        keys[matrix.as_of_frame] = set(matrix.scores)
+        return raw_pair(matrix)
+
+    monkeypatch.setattr(pipeline, "raw_pair", spy)
+    pipeline.run_pipeline(frames, streams, pipeline.PipelineParams(ts_gate=2.0))
+    return keys
+
+
+def test_full_matrix_when_everything_gated_in(monkeypatch):
+    data = generate(two_person_config(duration=4.0, dropout_prob=0.0))
+    keys = scored_keys(monkeypatch, data.frames, data.streams)
+    # 2 s at 30 fps: frame 59 is the first with 60 values in every stream
+    assert keys[58] == set()
+    full = {(t, s) for t in ("t0000", "t0001") for s in ("p0-acc", "p1-acc")}
+    assert all(keys[f] == full for f in range(59, 120))
+
+
+def test_short_trace_row_absent(monkeypatch):
+    data = generate(two_person_config(duration=6.0, dropout_prob=0.0))
+    # p1 enters the scene at frame 40, so its trace gates in 40 frames late
+    frames = [
+        DetectionFrame(fr.frame_index, fr.timestamp, [
+            b for b, owner in zip(fr.boxes, data.box_owners[fr.frame_index])
+            if owner == "p0" or fr.frame_index >= 40
+        ])
+        for fr in data.frames
+    ]
+    keys = scored_keys(monkeypatch, frames, data.streams)
+    early = {("t0000", "p0-acc"), ("t0000", "p1-acc")}
+    assert all(keys[f] == early for f in range(59, 99))
+    assert keys[99] == early | {("t0001", "p0-acc"), ("t0001", "p1-acc")}

@@ -8,7 +8,6 @@ from stridelink.tracer import (
     TracerParams,
     Tracker,
     search_radius,
-    update_traces,
 )
 
 
@@ -145,9 +144,13 @@ def test_same_log_gives_same_partition():
     assert t1.traces == t2.traces
 
 
-def test_update_traces_is_non_destructive():
-    first = DetectionFrame(0, 0, [box(0, 0)])
-    traces, _ = update_traces({}, first)
-    before = dict(traces)
-    update_traces(traces, DetectionFrame(1, 33_333, [box(1, 0)]))
-    assert traces == before
+def test_trace_ids_keep_counting_after_traces_die():
+    tracker = Tracker(TracerParams(max_gap=2))
+    tracker.update(DetectionFrame(0, 0, [box(0, 0), box(300, 0)]))
+    for f in range(1, 4):
+        tracker.update(DetectionFrame(f, f * 33_333, []))
+    assert not any(t.active for t in tracker.traces.values())
+    assignments = tracker.update(DetectionFrame(4, 4 * 33_333, [box(0, 0)]))
+    assert assignments == {0: "t0002"}
+    assert list(tracker.traces) == ["t0000", "t0001", "t0002"]
+    assert [len(t.entries) for t in tracker.traces.values()] == [1, 1, 1]
