@@ -35,8 +35,11 @@ from .simulator import ConfigError, PersonSpec, ScenarioConfig, ScenarioData, ge
 from .tracer import TracerParams
 
 DEFAULT_SWEEP_TS = (0.33, 1.0, 2.0, 3.0, 4.0)
-MATCH_KEYS = {"detections", "sensors", "sensors_dir", "truth", "fps", "ts_gate",
-              "tracer", "filter", "similarity"}
+# Top-level keys of the "match" section, with the JSON type each must
+# have; fps and ts_gate go through float() and PipelineParams instead.
+MATCH_KEYS = {"detections": str, "sensors": list, "sensors_dir": str, "truth": str,
+              "fps": None, "ts_gate": None, "tracer": dict, "filter": dict, "similarity": dict}
+_TYPE_NAMES = {str: "a string", list: "a list of strings", dict: "an object"}
 
 
 class CliError(ValueError):
@@ -116,9 +119,15 @@ def _load_match_inputs(cfg: dict, config_path: str):
     mc = cfg.get("match")
     if not isinstance(mc, dict):
         raise CliError('config needs a "match" object')
-    unknown = set(mc) - MATCH_KEYS
+    unknown = set(mc) - set(MATCH_KEYS)
     if unknown:
         raise CliError(f"match: unknown keys {sorted(unknown)}")
+    for key, kind in MATCH_KEYS.items():
+        if kind is None or key not in mc:
+            continue
+        value = mc[key]
+        if not isinstance(value, kind) or (kind is list and not all(isinstance(p, str) for p in value)):
+            raise CliError(f"match.{key} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
     base = os.path.dirname(os.path.abspath(config_path))
     det_path = mc.get("detections")
     if not det_path:

@@ -25,6 +25,7 @@ immutable, which keeps per-frame cost constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -159,6 +160,8 @@ class ExtremeStream:
     def push(self, value: float) -> None:
         if self.flushed:
             raise ValueError("stream already flushed")
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value} at frame {self.start_frame + len(self._values)}")
         self._values.append(value)
         x = len(self._values) - 1 - self.half
         if x >= 0:

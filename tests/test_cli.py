@@ -214,6 +214,24 @@ def test_invalid_match_value_reported(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == "error: match: fps must be positive"
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("detections", 5, "a string"),
+    ("sensors", "out/sensors/p0-acc.csv", "a list of strings"),
+    ("sensors_dir", 7, "a string"),
+    ("truth", ["out/truth.json"], "a string"),
+    ("tracer", 3, "an object"),
+    ("filter", [10, 15.0], "an object"),
+    ("similarity", 5, "an object"),
+])
+def test_match_value_of_wrong_json_type_reported(tmp_path, capsys, key, value, kind):
+    simulated(tmp_path)
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, match={**MATCH, key: value}, name="t.json")
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: match.{key} must be {kind}, got {json.dumps(value)}"]
+
+
 def test_non_finite_acceleration_names_the_line(tmp_path, capsys):
     cfg = simulated(tmp_path)
     csv_path = tmp_path / "out" / "sensors" / "p0-acc.csv"

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
+from stridelink.fileio import write_assignments
 from stridelink.model import BoundingBox, DetectionFrame
 from stridelink.pipeline import PipelineParams, _TraceStream, run_pipeline
-from stridelink.simulator import generate
+from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 from stridelink.tracer import Trace
 from stridelink.video_features import ratio_sequence
 
@@ -111,3 +114,24 @@ def test_params_validated():
         PipelineParams(fps=0.0)
     with pytest.raises(ValueError):
         PipelineParams(ts_gate=-1.0)
+
+
+# sha256 of assignments.jsonl for the scene below. It was recorded with a
+# pure-Python Hungarian solver in place of SciPy's: the canonical pairs must
+# not depend on which optimum the solver finds first.
+TIED_SCENE_SHA256 = "076b85da6d0fed6ba4c8f8e9537a7ac44c10607192570d5168bdaa74a641cdb6"
+
+
+def test_tied_scene_keeps_its_canonical_pairs(tmp_path):
+    """Eight walkers with one gait give 8 x 8 matrices full of tied weights,
+    larger than the enumeration tests reach; in about a third of the
+    solves SciPy's first optimum is not the canonical one."""
+    rows_y = [40.0 + 400.0 * k / 7 for k in range(8)]
+    persons = tuple(
+        PersonSpec(f"p{k}", 1.0, phase=0.0, path=((50.0, y), (590.0, y)))
+        for k, y in enumerate(rows_y)
+    )
+    data = generate(ScenarioConfig(persons=persons, duration=300 / 30.0, seed=1))
+    path = tmp_path / "assignments.jsonl"
+    write_assignments(str(path), run_pipeline(data.frames, data.streams))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TIED_SCENE_SHA256

@@ -247,6 +247,21 @@ def test_push_after_flush_rejected():
         stream.push(2.0)
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_push_rejected(bad):
+    stream = ExtremeStream(10, start_frame=5)
+    stream.push(1.0)
+    with pytest.raises(ValueError, match="non-finite value .* at frame 6"):
+        stream.push(bad)
+    assert len(stream) == 1
+
+
+def test_nan_sequence_rejected_where_the_nan_is():
+    with pytest.raises(ValueError, match="non-finite value nan at frame 2"):
+        detect_extremes([1.0, 2.0, math.nan, 0.5, 0.2, 0.1], 2)
+
+
 # the similarity matrix the pipeline pairs from
 
 
