@@ -16,6 +16,7 @@ disturb matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -76,10 +77,12 @@ def magnitude(stream: SensorStream) -> MagnitudeSequence:
     if not stream.samples:
         raise ValueError(f"sensor {stream.sensor_id!r} has no samples")
     ts = tuple(s.timestamp for s in stream.samples)
-    vals = tuple(
-        float(np.hypot(np.hypot(s.ax, s.ay), s.az)) for s in stream.samples
+    n = len(stream.samples)
+    ax, ay, az = (
+        np.fromiter(map(attrgetter(axis), stream.samples), float, n) for axis in ("ax", "ay", "az")
     )
-    return MagnitudeSequence(stream.sensor_id, stream.nominal_rate, ts, vals)
+    vals = np.hypot(np.hypot(ax, ay), az)
+    return MagnitudeSequence(stream.sensor_id, stream.nominal_rate, ts, tuple(vals.tolist()))
 
 
 def butter_sos(spec: FilterSpec, rate: float) -> np.ndarray:
@@ -95,7 +98,7 @@ def lowpass(seq: MagnitudeSequence, spec: FilterSpec = FilterSpec()) -> Magnitud
     """Causal low-pass over a magnitude sequence; length and timestamps kept."""
     sos = butter_sos(spec, seq.rate)
     filtered = sosfilt(sos, np.asarray(seq.values, dtype=float))
-    return MagnitudeSequence(seq.sensor_id, seq.rate, seq.timestamps, tuple(float(v) for v in filtered))
+    return MagnitudeSequence(seq.sensor_id, seq.rate, seq.timestamps, tuple(filtered.tolist()))
 
 
 def resample_to_frames(
@@ -129,7 +132,7 @@ def resample_to_frames(
             f"frames span [{frame_clock[0][1]}, {frame_clock[-1][1]}] us"
         )
     resampled = np.interp(frame_ts, t, np.asarray(seq.values, dtype=float))
-    return AccFeatureSequence(seq.sensor_id, first, tuple(float(v) for v in resampled))
+    return AccFeatureSequence(seq.sensor_id, first, tuple(resampled.tolist()))
 
 
 def step_features(

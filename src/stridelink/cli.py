@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -35,11 +36,26 @@ from .simulator import ConfigError, PersonSpec, ScenarioConfig, ScenarioData, ge
 from .tracer import TracerParams
 
 DEFAULT_SWEEP_TS = (0.33, 1.0, 2.0, 3.0, 4.0)
-# Top-level keys of the "match" section, with the JSON type each must
-# have; fps and ts_gate go through float() and PipelineParams instead.
+# Top-level keys of the "match" section, with the JSON type each must have.
 MATCH_KEYS = {"detections": str, "sensors": list, "sensors_dir": str, "truth": str,
-              "fps": None, "ts_gate": None, "tracer": dict, "filter": dict, "similarity": dict}
-_TYPE_NAMES = {str: "a string", list: "a list of strings", dict: "an object"}
+              "fps": float, "ts_gate": float, "tracer": dict, "filter": dict, "similarity": dict}
+_TYPE_NAMES = {str: "a string", list: "a list of strings", dict: "an object",
+               float: "a number", int: "an integer"}
+# Dataclass field annotations _from_dict checks: the JSON type each takes
+# and whether null is allowed. Fields annotated otherwise pass unchecked.
+_FIELD_KINDS = {"int": (int, False), "float": (float, False), "int | None": (int, True)}
+
+
+def _is_kind(value, kind) -> bool:
+    """Whether a JSON value has the type `kind`; booleans are not numbers,
+    an int is a float but a float is not an int, and numbers are finite."""
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(p, str) for p in value)
+    if kind in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
+            return False
+        return isinstance(value, int) or math.isfinite(value)
+    return isinstance(value, kind)
 
 
 class CliError(ValueError):
@@ -60,11 +76,18 @@ def _load_config(path: str) -> dict:
 
 
 def _from_dict(cls, d: dict, where: str):
-    """Build a dataclass from a JSON object, rejecting unknown keys."""
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(d) - allowed
+    """Build a dataclass from a JSON object, rejecting unknown keys and
+    numeric fields of the wrong JSON type."""
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = set(d) - set(annotations)
     if unknown:
         raise CliError(f"{where}: unknown keys {sorted(unknown)}")
+    for name, value in d.items():
+        kind, nullable = _FIELD_KINDS.get(annotations[name], (None, False))
+        if kind is None or (nullable and value is None) or _is_kind(value, kind):
+            continue
+        expected = _TYPE_NAMES[kind] + (" or null" if nullable else "")
+        raise CliError(f"{where}.{name} must be {expected}, got {json.dumps(value)}")
     try:
         return cls(**d)
     except (TypeError, ValueError) as exc:
@@ -123,11 +146,8 @@ def _load_match_inputs(cfg: dict, config_path: str):
     if unknown:
         raise CliError(f"match: unknown keys {sorted(unknown)}")
     for key, kind in MATCH_KEYS.items():
-        if kind is None or key not in mc:
-            continue
-        value = mc[key]
-        if not isinstance(value, kind) or (kind is list and not all(isinstance(p, str) for p in value)):
-            raise CliError(f"match.{key} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+        if key in mc and not _is_kind(mc[key], kind):
+            raise CliError(f"match.{key} must be {_TYPE_NAMES[kind]}, got {json.dumps(mc[key])}")
     base = os.path.dirname(os.path.abspath(config_path))
     det_path = mc.get("detections")
     if not det_path:

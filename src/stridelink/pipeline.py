@@ -3,12 +3,14 @@
 Per frame: advance the tracer, extend each live trace's ratio stream
 (filling the frames a trace went unseen by linear interpolation, as
 `ratio_sequence` does), feed every sensor's frame-aligned step feature,
-then score all gated (trace, sensor) pairs and solve both pairing stages.
+then score each gated trace against every sensor and solve both pairing
+stages.
 Both kinds of stream sit on one absolute frame grid: a frame index the
 log skips gets filled values in every stream, but no result of its own.
-Similarity is computed incrementally: each pair keeps a running scorer
-that folds in extremums as their search windows finalize, so per-frame
-cost does not grow with elapsed time.
+Similarity is computed incrementally: each gated trace keeps one running
+scorer against the row of all sensors, which share one frame grid; it
+folds in the trace's extremums as their search windows finalize, so
+per-frame cost does not grow with elapsed time.
 
 Sensor filtering and frame alignment happen up front: the filter is causal,
 so precomputing its output is observationally identical to streaming it,
@@ -110,7 +112,9 @@ def run_pipeline(
     gate = params.ts_gate * params.fps
     tracker = Tracker(params.tracer)
     trace_streams: dict[str, _TraceStream] = {}
-    scorers: dict[tuple[str, str], PairScorer] = {}
+    # trace id -> (its scorer against every sensor, the matrix keys of its row)
+    scorers: dict[str, tuple[PairScorer, list[tuple[str, str]]]] = {}
+    row_streams = [sensor_streams[sid] for sid in sensor_ids]
     state = RefinedState()
     results: list[FrameResult] = []
 
@@ -128,8 +132,7 @@ def run_pipeline(
         for tid in dead:
             del trace_streams[tid]
             state.retire_trace(tid)
-            for key in [k for k in scorers if k[0] == tid]:
-                del scorers[key]
+            scorers.pop(tid, None)
 
         for sid in sensor_ids:
             stream = sensor_streams[sid]
@@ -138,20 +141,20 @@ def run_pipeline(
                 stream.push(values[pos])
 
         scores: dict[tuple[str, str], float] = {}
-        for tid in sorted(trace_streams):
-            tstream = trace_streams[tid]
-            if len(tstream.extremes) < gate:
-                continue
-            for sid in sensor_ids:
-                if len(sensor_streams[sid]) < gate:
+        if row_streams and all(len(stream) >= gate for stream in row_streams):
+            for tid in sorted(trace_streams):
+                tstream = trace_streams[tid]
+                if len(tstream.extremes) < gate:
                     continue
-                scorer = scorers.get((tid, sid))
-                if scorer is None:
-                    scorer = scorers[(tid, sid)] = PairScorer(
-                        tstream.extremes, sensor_streams[sid], params.similarity
+                row = scorers.get(tid)
+                if row is None:
+                    row = scorers[tid] = (
+                        PairScorer(tstream.extremes, row_streams, params.similarity),
+                        [(tid, sid) for sid in sensor_ids],
                     )
+                scorer, row_keys = row
                 scorer.advance()
-                scores[(tid, sid)] = scorer.score()
+                scores.update(zip(row_keys, scorer.score()))
 
         matrix = SimilarityMatrix(scores, f)
         raw = raw_pair(matrix)

@@ -18,9 +18,11 @@ the nearest same-sign mark of a within x-d..x+d, or a fixed penalty
 and the score is asymmetric in its arguments by construction: n counts the
 trace's marks.
 
-The streaming engine folds a mark's contribution into the running score
-only once its search window can no longer change; earlier terms are
-immutable, which keeps per-frame cost constant.
+The streaming engine, `PairScorer`, scores one trace against a row of
+sensor streams that share one frame grid. It folds each trace mark into
+every sensor's running total at once, and only once the mark's search
+window can no longer change; earlier terms are immutable, which keeps
+per-frame cost constant. `sim` runs the same engine on a one-sensor row.
 """
 
 from __future__ import annotations
@@ -125,9 +127,9 @@ def sim(t: TernarySequence, a: TernarySequence, params: SimilarityParams = Simil
     zero; the floor (half the minimal nonzero offset) keeps the score
     finite and order-preserving.
     """
-    scorer = PairScorer(_flushed(t), _flushed(a), params)
+    scorer = PairScorer(_flushed(t), [_flushed(a)], params)
     scorer.advance()
-    return scorer.score()
+    return scorer.score()[0]
 
 
 @dataclass(frozen=True)
@@ -172,60 +174,75 @@ class ExtremeStream:
             self.marks.append(_classify(self._values, x, self.half))
         self.flushed = True
 
-    def finalized_through(self) -> int:
-        """Absolute frame of the last finalized mark; start_frame - 1 if none."""
-        return self.start_frame + len(self.marks) - 1
-
 
 class PairScorer:
-    """Running similarity of one trace stream against one sensor stream.
+    """Running similarity of one trace stream against a row of sensor
+    streams that share one frame grid (one start_frame, pushed in lockstep).
 
-    A trace mark at frame f is folded in once the sensor stream is
-    finalized through f + dif_d (or flushed), so every folded term is
-    immutable. After both streams flush, score() is the sim() of their
-    marks.
+    A trace mark at frame f is folded in, against every sensor at once,
+    once each sensor stream is finalized through f + dif_d (or flushed), so
+    every folded term is immutable. The mark count n is shared; each sensor
+    keeps its own offset total, summed in mark order. After all streams
+    flush, score()[k] is the sim() of the trace's marks against sensor k's.
     """
 
-    def __init__(self, trace_stream: ExtremeStream, sensor_stream: ExtremeStream,
+    def __init__(self, trace_stream: ExtremeStream, sensor_streams: Sequence[ExtremeStream],
                  params: SimilarityParams = SimilarityParams()):
         self.t = trace_stream
-        self.a = sensor_stream
+        self.sensors = tuple(sensor_streams)
+        starts = {a.start_frame for a in self.sensors}
+        if len(starts) != 1:
+            raise ValueError(f"sensor streams must share one start frame, got {sorted(starts)}")
+        (sensor_start,) = starts
         self.params = params
+        # trace position x sits at position x + _offset of every sensor
+        self._offset = trace_stream.start_frame - sensor_start
         self._next = 0
         self.n = 0
-        self.total = 0.0
+        self.totals = [0.0] * len(self.sensors)
+        self._scores = (0.0,) * len(self.sensors)
 
     def advance(self) -> None:
+        # a flushed stream is final everywhere; only open ones hold folds back
+        finalized = min((len(a.marks) for a in self.sensors if not a.flushed), default=math.inf)
         d = self.params.dif_d
+        t_marks = self.t.marks
+        ready = min(len(t_marks), finalized - self._offset - d) - 1
+        if self._next > ready:
+            return
         penalty = self.params.no_match_penalty
-        while self._next < len(self.t.marks):
-            x = self._next
-            frame = self.t.start_frame + x
-            if not self.a.flushed and self.a.finalized_through() < frame + d:
-                break
-            mark = self.t.marks[x]
+        n = self.n
+        totals = self.totals
+        for x in range(self._next, ready + 1):
+            mark = t_marks[x]
             if mark != 0:
-                self.n += 1
-                dist = self._search(frame, mark, d)
-                self.total += float(dist) if dist is not None else penalty
-            self._next += 1
+                n += 1
+                pos = x + self._offset
+                for k, a in enumerate(self.sensors):
+                    dist = _nearest(a.marks, pos, mark, d)
+                    totals[k] += float(dist) if dist is not None else penalty
+        self._next = ready + 1
+        if n != self.n:
+            self.n = n
+            floor = self.params.zero_denominator_floor
+            self._scores = tuple(n / max(total, floor) for total in totals)
 
-    def _search(self, frame: int, mark: int, d: int) -> int | None:
-        pos = frame - self.a.start_frame
-        last = len(self.a.marks) - 1
-        for dist in range(d + 1):
-            left = pos - dist
-            if 0 <= left <= last and self.a.marks[left] == mark:
-                return dist
-            right = pos + dist
-            if dist and 0 <= right <= last and self.a.marks[right] == mark:
-                return dist
-        return None
+    def score(self) -> tuple[float, ...]:
+        """One score per sensor stream, in the order given."""
+        return self._scores
 
-    def score(self) -> float:
-        if self.n == 0:
-            return 0.0
-        return self.n / max(self.total, self.params.zero_denominator_floor)
+
+def _nearest(marks: list[int], pos: int, mark: int, d: int) -> int | None:
+    """Distance from pos to the nearest `mark` in marks within d, if any."""
+    last = len(marks) - 1
+    for dist in range(d + 1):
+        left = pos - dist
+        if 0 <= left <= last and marks[left] == mark:
+            return dist
+        right = pos + dist
+        if dist and 0 <= right <= last and marks[right] == mark:
+            return dist
+    return None
 
 
 def _flushed(seq: TernarySequence) -> ExtremeStream:

@@ -14,7 +14,9 @@ from stridelink.acc_features import (
     step_features,
 )
 from stridelink.model import AccSampleRaw, SensorStream
+from stridelink.simulator import generate
 
+from conftest import two_person_config
 from helpers import strict_interior_maxima
 
 
@@ -41,6 +43,16 @@ def lockin_amplitude(values, rate, freq, skip_s=3.0):
     c = (x * np.cos(2 * np.pi * freq * t)).mean()
     s = (x * np.sin(2 * np.pi * freq * t)).mean()
     return 2 * math.hypot(c, s)
+
+
+def test_magnitude_equals_per_sample_hypot_exactly():
+    data = generate(two_person_config(duration=20.0))
+    for stream in data.streams:
+        expected = [float(np.hypot(np.hypot(s.ax, s.ay), s.az)) for s in stream.samples]
+        got = magnitude(stream)
+        assert list(got.values) == expected
+        assert all(type(v) is float for v in got.values)
+        assert got.timestamps == tuple(s.timestamp for s in stream.samples)
 
 
 def test_magnitude_single_axis():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -200,6 +201,17 @@ def test_invalid_scenario_value_reported(tmp_path, capsys):
     assert "stride_frequency" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, message", [
+    ({**SCENARIO, "seed": 1.5}, "scenario.seed must be an integer, got 1.5"),
+    ({**SCENARIO, "persons": [{"person_id": "p0", "stride_frequency": "0.9"}]},
+     'scenario.persons[0].stride_frequency must be a number, got "0.9"'),
+], ids=["seed-float", "stride_frequency-string"])
+def test_scenario_field_of_wrong_type_reported(tmp_path, capsys, scenario, message):
+    cfg = write_cfg(tmp_path, scenario=scenario)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_unknown_match_key_rejected(tmp_path, capsys):
     simulated(tmp_path)
     cfg = write_cfg(tmp_path, match={**MATCH, "tsgate": 9}, name="k.json")
@@ -222,6 +234,10 @@ def test_invalid_match_value_reported(tmp_path, capsys):
     ("tracer", 3, "an object"),
     ("filter", [10, 15.0], "an object"),
     ("similarity", 5, "an object"),
+    ("ts_gate", True, "a number"),
+    ("fps", True, "a number"),
+    ("fps", "30", "a number"),
+    ("ts_gate", math.nan, "a number"),
 ])
 def test_match_value_of_wrong_json_type_reported(tmp_path, capsys, key, value, kind):
     simulated(tmp_path)
@@ -230,6 +246,34 @@ def test_match_value_of_wrong_json_type_reported(tmp_path, capsys, key, value, k
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: match.{key} must be {kind}, got {json.dumps(value)}"]
+
+
+@pytest.mark.parametrize("match, message", [
+    ({"tracer": {"max_gap": 15.5}}, "match.tracer.max_gap must be an integer, got 15.5"),
+    ({"tracer": {"radius_factor": "0.1"}},
+     'match.tracer.radius_factor must be a number, got "0.1"'),
+    ({"similarity": {"d": 10.5}}, "match.similarity.d must be an integer, got 10.5"),
+    ({"similarity": {"dif_window": 7.5}},
+     "match.similarity.dif_window must be an integer or null, got 7.5"),
+    ({"filter": {"order": 10.5}}, "match.filter.order must be an integer, got 10.5"),
+    ({"filter": {"cutoff_hz": "15"}}, 'match.filter.cutoff_hz must be a number, got "15"'),
+], ids=["max_gap-float",
+        "radius_factor-string", "d-float", "dif_window-float", "order-float",
+        "cutoff_hz-string"])
+def test_match_section_field_of_wrong_type_reported(tmp_path, capsys, match, message):
+    simulated(tmp_path)
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, match={**MATCH, **match}, name="t.json")
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_match_numeric_fields_take_ints_and_null_window(tmp_path):
+    simulated(tmp_path)
+    match = {**MATCH, "fps": 30, "ts_gate": 2, "tracer": {"radius_factor": 1},
+             "filter": {"cutoff_hz": 15}, "similarity": {"dif_window": None}}
+    cfg = write_cfg(tmp_path, match=match, name="ok.json")
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
 
 
 def test_non_finite_acceleration_names_the_line(tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from stridelink import pipeline
 from stridelink.fileio import write_assignments
 from stridelink.model import BoundingBox, DetectionFrame
 from stridelink.pipeline import PipelineParams, _TraceStream, run_pipeline
@@ -107,6 +108,37 @@ def test_throughput_reflects_frame_count(separable_run):
     assert separable_run.throughput_fps == pytest.approx(
         len(separable_run.frames) / separable_run.elapsed_s
     )
+
+
+def test_one_advance_per_gated_trace_per_frame(monkeypatch):
+    """The scorer serves a trace's whole row of sensors: one advance per
+    gated live trace per frame, not one per (trace, sensor) pair."""
+    persons = tuple(
+        PersonSpec(f"p{k}", 0.8 + 0.2 * k, phase=0.7 * k,
+                   path=((50.0, 60.0 + 100.0 * k), (590.0, 60.0 + 100.0 * k)))
+        for k in range(4)
+    )
+    data = generate(ScenarioConfig(persons=persons, duration=8.0, seed=3))
+    calls = []
+    rows = []
+    advance = pipeline.PairScorer.advance
+    raw_pair = pipeline.raw_pair
+
+    def counted(self):
+        calls.append(self)
+        return advance(self)
+
+    def spy(matrix):
+        traces = {t for t, _ in matrix.scores}
+        assert set(matrix.scores) == {(t, s.sensor_id) for t in traces for s in data.streams}
+        rows.append(len(traces))
+        return raw_pair(matrix)
+
+    monkeypatch.setattr(pipeline.PairScorer, "advance", counted)
+    monkeypatch.setattr(pipeline, "raw_pair", spy)
+    run_pipeline(data.frames, data.streams)
+    assert sum(rows) > 0
+    assert len(calls) == sum(rows)
 
 
 def test_params_validated():

@@ -201,30 +201,42 @@ def test_streaming_matches_batch_on_random_interleavings():
     rng = random.Random(77)
     params = SimilarityParams()
     for _ in range(120):
+        k = rng.randint(1, 4)
         n_t, n_a = rng.randint(1, 120), rng.randint(1, 120)
         t_vals = [rng.random() for _ in range(n_t)]
-        a_vals = [rng.random() for _ in range(n_a)]
-        t_start, a_start = rng.randint(0, 5), rng.randint(0, 5)
+        a_vals = [[rng.random() for _ in range(n_a)] for _ in range(k)]
+        t_start, a_start = rng.randint(0, 40), rng.randint(0, 5)
         ts = ExtremeStream(params.d, t_start)
-        as_ = ExtremeStream(params.d, a_start)
-        scorer = PairScorer(ts, as_, params)
+        sensors = [ExtremeStream(params.d, a_start) for _ in range(k)]
+        scorer = PairScorer(ts, sensors, params)
         i = j = 0
         while i < n_t or j < n_a:
             if i < n_t and (j >= n_a or rng.random() < 0.5):
                 ts.push(t_vals[i])
                 i += 1
             else:
-                as_.push(a_vals[j])
+                for stream, vals in zip(sensors, a_vals):
+                    stream.push(vals[j])
                 j += 1
             scorer.advance()
         ts.flush()
-        as_.flush()
+        for stream in sensors:
+            stream.flush()
         scorer.advance()
-        expected = oracle_sim(
-            oracle_marks(t_vals, params.d), oracle_marks(a_vals, params.d),
-            params.d, t_start, a_start,
-        )
-        assert scorer.score() == expected
+        got = scorer.score()
+        assert len(got) == k
+        for vals, score in zip(a_vals, got):
+            expected = oracle_sim(
+                oracle_marks(t_vals, params.d), oracle_marks(vals, params.d),
+                params.d, t_start, a_start,
+            )
+            assert score == expected
+
+
+def test_sensor_streams_off_one_grid_rejected():
+    trace = ExtremeStream(10, 4)
+    with pytest.raises(ValueError, match="one start frame"):
+        PairScorer(trace, [ExtremeStream(10, 0), ExtremeStream(10, 1)])
 
 
 def test_finalized_marks_are_a_prefix_of_batch_marks():
