@@ -11,7 +11,6 @@ from .acc_features import (
     AccFeatureSequence,
     EmptyOverlap,
     FilterSpec,
-    MagnitudeSequence,
     NyquistViolation,
     butter_sos,
     lowpass,
@@ -30,7 +29,6 @@ from .evaluation import (
     ts_sweep,
 )
 from .model import (
-    AccSampleRaw,
     BoundingBox,
     DetectionFrame,
     GroundTruth,
@@ -47,7 +45,7 @@ from .pairing import (
     solve_lsap,
     update_rsim,
 )
-from .pipeline import FrameResult, MatchRun, PipelineParams, run_pipeline
+from .pipeline import FrameResult, MatchRun, PipelineParams, interpolate_gap, run_pipeline
 from .similarity import (
     ExtremeStream,
     PairScorer,
@@ -66,6 +64,5 @@ from .simulator import (
     generate,
 )
 from .tracer import Trace, TracerParams, Tracker, search_radius
-from .video_features import RatioSample, RatioSequence, interpolate_gap, ratio_sequence
 
 __version__ = "0.1.0"

@@ -5,6 +5,7 @@ by taking the magnitude of the 3-axis vector. Nearly all accelerometer
 energy tied to human movement sits below 15 Hz, so the magnitude is
 low-pass filtered by a 10th-order Butterworth at 15 Hz, then resampled
 onto the camera's frame clock so both modalities share one sample grid.
+Each stage passes numpy arrays; only the frame-aligned result is Python floats.
 
 Filtering is causal (single pass): the pipeline targets streaming, and the
 constant passband group delay shifts every extremum of this modality by
@@ -16,7 +17,6 @@ disturb matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -44,19 +44,6 @@ class FilterSpec:
 
 
 @dataclass(frozen=True)
-class MagnitudeSequence:
-    """Acceleration magnitudes at the sensor's native rate."""
-
-    sensor_id: str
-    rate: float
-    timestamps: tuple[Timestamp, ...]
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class AccFeatureSequence:
     """Step feature: filtered magnitude with one value per video frame."""
 
@@ -64,25 +51,16 @@ class AccFeatureSequence:
     start_frame: int
     values: tuple[float, ...]
 
-    @property
-    def frame_indices(self) -> range:
-        return range(self.start_frame, self.start_frame + len(self.values))
-
     def __len__(self) -> int:
         return len(self.values)
 
 
-def magnitude(stream: SensorStream) -> MagnitudeSequence:
+def magnitude(stream: SensorStream) -> np.ndarray:
     """Direction-free acceleration: sqrt(ax^2 + ay^2 + az^2) per sample."""
-    if not stream.samples:
+    if not len(stream.samples):
         raise ValueError(f"sensor {stream.sensor_id!r} has no samples")
-    ts = tuple(s.timestamp for s in stream.samples)
-    n = len(stream.samples)
-    ax, ay, az = (
-        np.fromiter(map(attrgetter(axis), stream.samples), float, n) for axis in ("ax", "ay", "az")
-    )
-    vals = np.hypot(np.hypot(ax, ay), az)
-    return MagnitudeSequence(stream.sensor_id, stream.nominal_rate, ts, tuple(vals.tolist()))
+    ax, ay, az = stream.samples.T
+    return np.hypot(np.hypot(ax, ay), az)
 
 
 def butter_sos(spec: FilterSpec, rate: float) -> np.ndarray:
@@ -94,18 +72,18 @@ def butter_sos(spec: FilterSpec, rate: float) -> np.ndarray:
     return butter(spec.order, spec.cutoff_hz, btype="low", fs=rate, output="sos")
 
 
-def lowpass(seq: MagnitudeSequence, spec: FilterSpec = FilterSpec()) -> MagnitudeSequence:
-    """Causal low-pass over a magnitude sequence; length and timestamps kept."""
-    sos = butter_sos(spec, seq.rate)
-    filtered = sosfilt(sos, np.asarray(seq.values, dtype=float))
-    return MagnitudeSequence(seq.sensor_id, seq.rate, seq.timestamps, tuple(filtered.tolist()))
+def lowpass(values: np.ndarray, rate: float, spec: FilterSpec = FilterSpec()) -> np.ndarray:
+    """Causal low-pass over values sampled at `rate` Hz; length kept."""
+    return sosfilt(butter_sos(spec, rate), np.asarray(values, dtype=float))
 
 
 def resample_to_frames(
-    seq: MagnitudeSequence,
+    stream: SensorStream,
+    values: np.ndarray,
     frame_clock: Sequence[tuple[int, Timestamp]],
 ) -> AccFeatureSequence:
-    """Linearly interpolate the filtered magnitude at each frame timestamp.
+    """Linearly interpolate `values`, one per sample of `stream` (the
+    filtered magnitude), at each frame timestamp.
 
     Interpolation (rather than decimation by dropping) tolerates phone
     timestamp jitter against the frame clock. The output has one value per
@@ -125,14 +103,14 @@ def resample_to_frames(
         frames,
         np.asarray([t for _, t in frame_clock], dtype=float),
     )
-    t = np.asarray(seq.timestamps, dtype=float)
+    t = stream.ts_us.astype(float)
     if frame_ts[-1] < t[0] or frame_ts[0] > t[-1]:
         raise EmptyOverlap(
-            f"sensor {seq.sensor_id!r} spans [{seq.timestamps[0]}, {seq.timestamps[-1]}] us, "
+            f"sensor {stream.sensor_id!r} spans [{stream.ts_us[0]}, {stream.ts_us[-1]}] us, "
             f"frames span [{frame_clock[0][1]}, {frame_clock[-1][1]}] us"
         )
-    resampled = np.interp(frame_ts, t, np.asarray(seq.values, dtype=float))
-    return AccFeatureSequence(seq.sensor_id, first, tuple(resampled.tolist()))
+    resampled = np.interp(frame_ts, t, values)
+    return AccFeatureSequence(stream.sensor_id, first, tuple(resampled.tolist()))
 
 
 def step_features(
@@ -141,4 +119,4 @@ def step_features(
     spec: FilterSpec = FilterSpec(),
 ) -> AccFeatureSequence:
     """Full per-sensor pipeline: magnitude -> lowpass -> frame alignment."""
-    return resample_to_frames(lowpass(magnitude(stream), spec), frame_clock)
+    return resample_to_frames(stream, lowpass(magnitude(stream), stream.nominal_rate, spec), frame_clock)

@@ -108,7 +108,13 @@ def _scenario_config(cfg: dict, seed_override: int | None) -> ScenarioConfig:
             raise CliError(f"scenario.persons[{k}] must be an object")
         p = dict(p)
         if "path" in p:
-            p["path"] = tuple((float(x), float(y)) for x, y in p["path"])
+            path = p["path"]
+            if not (isinstance(path, list) and all(
+                    isinstance(xy, list) and len(xy) == 2 and all(_is_kind(v, float) for v in xy)
+                    for xy in path)):
+                raise CliError(f"scenario.persons[{k}].path must be a list of [x, y] number pairs, "
+                               f"got {json.dumps(path)}")
+            p["path"] = tuple((float(x), float(y)) for x, y in path)
         persons.append(_from_dict(PersonSpec, p, f"scenario.persons[{k}]"))
     if seed_override is not None:
         sc["seed"] = seed_override
@@ -118,7 +124,13 @@ def _scenario_config(cfg: dict, seed_override: int | None) -> ScenarioConfig:
 def _pipeline_params(mc: dict) -> PipelineParams:
     sim_keys = dict(mc.get("similarity", {}))
     if "extreme_window" in sim_keys:
-        sim_keys["d"] = sim_keys.pop("extreme_window")
+        if "d" in sim_keys:
+            raise CliError("match.similarity: give d or its alias extreme_window, not both")
+        window = sim_keys.pop("extreme_window")
+        if not _is_kind(window, int):
+            raise CliError(f"match.similarity.extreme_window must be {_TYPE_NAMES[int]}, "
+                           f"got {json.dumps(window)}")
+        sim_keys["d"] = window
     tracer = _from_dict(TracerParams, mc.get("tracer", {}), "match.tracer")
     filter_spec = _from_dict(FilterSpec, mc.get("filter", {}), "match.filter")
     similarity = _from_dict(SimilarityParams, sim_keys, "match.similarity")

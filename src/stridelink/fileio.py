@@ -14,8 +14,10 @@ import math
 import os
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .evaluation import TsSweepRow
-from .model import AccSampleRaw, BoundingBox, DetectionFrame, SensorStream
+from .model import BoundingBox, DetectionFrame, SensorStream
 from .pipeline import MatchRun
 
 SENSOR_HEADER = ["ts_us", "ax", "ay", "az"]
@@ -61,39 +63,54 @@ def write_sensor_csv(path: str, stream: SensorStream) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SENSOR_HEADER)
-        for s in stream.samples:
-            writer.writerow([s.timestamp, repr(s.ax), repr(s.ay), repr(s.az)])
+        # Python floats: the repr of a numpy scalar is not a number.
+        for ts, (ax, ay, az) in zip(stream.ts_us.tolist(), stream.samples.tolist()):
+            writer.writerow([ts, repr(ax), repr(ay), repr(az)])
 
 
 def read_sensor_csv(path: str, sensor_id: str | None = None) -> SensorStream:
     """Load one phone's samples. The format carries no rate field; the
-    nominal rate is inferred from the first and last timestamps."""
+    nominal rate is inferred from the first and last timestamps. A
+    rejection names the line of the first bad row, whatever its defect;
+    blank lines are skipped but counted."""
     if sensor_id is None:
         sensor_id = os.path.splitext(os.path.basename(path))[0]
-    samples: list[AccSampleRaw] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SENSOR_HEADER:
-            raise FormatError(f"{path}:1: expected header {','.join(SENSOR_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                ts = int(row[0])
-                ax, ay, az = (float(v) for v in row[1:4])
-            except (IndexError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
-                raise FormatError(f"{path}:{lineno}: ax, ay, az must be finite, got {','.join(row[1:4])}")
-            if samples and ts <= samples[-1].timestamp:
-                raise FormatError(f"{path}:{lineno}: timestamp {ts} does not increase")
-            samples.append(AccSampleRaw(ts, ax, ay, az))
-    if len(samples) < 2:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if next(csv.reader(lines[:1]), None) != SENSOR_HEADER:
+        raise FormatError(f"{path}:1: expected header {','.join(SENSOR_HEADER)}")
+    rows = [line for line in lines[1:] if line]
+    parsed = _parse_rows(rows)
+    # Error path only: parse one row at a time to find the refused row.
+    refused = len(rows) if parsed else next(k for k, row in enumerate(rows) if not _parse_rows([row]))
+    ts, xyz = parsed or _parse_rows(rows[:refused])
+    nonfinite = ~np.isfinite(xyz).all(axis=1)
+    backwards = np.diff(ts, prepend=ts[:1] - 1) <= 0
+    k = min(np.flatnonzero(nonfinite | backwards)[:1].tolist() + [refused])
+    if k < len(rows):
+        lineno = [n for n, line in enumerate(lines, start=1) if line][k + 1]
+        if k == refused:
+            problem = f"expected numbers {','.join(SENSOR_HEADER)}, got {rows[k]!r}"
+        elif nonfinite[k]:
+            problem = f"ax, ay, az must be finite, got {','.join(rows[k].split(',')[1:4])}"
+        else:
+            problem = f"timestamp {ts[k]} does not increase"
+        raise FormatError(f"{path}:{lineno}: {problem}")
+    if len(rows) < 2:
         raise FormatError(f"{path}: need at least 2 samples to infer a rate")
-    span_s = (samples[-1].timestamp - samples[0].timestamp) / 1e6
-    rate = (len(samples) - 1) / span_s
-    return SensorStream(sensor_id, tuple(samples), rate)
+    rate = (len(ts) - 1) / (int(ts[-1] - ts[0]) / 1e6)
+    return SensorStream(sensor_id, ts, xyz, rate)
+
+
+def _parse_rows(rows: Sequence[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Columns ts_us (int64) and ax, ay, az of CSV rows; None if numpy refuses a row."""
+    if not rows:
+        return np.empty(0, np.int64), np.empty((0, 3))
+    try:
+        return (np.loadtxt(rows, np.int64, delimiter=",", usecols=0, ndmin=1, comments=None),
+                np.loadtxt(rows, np.float64, delimiter=",", usecols=(1, 2, 3), ndmin=2, comments=None))
+    except ValueError:
+        return None
 
 
 def write_truth(path: str, sensor_owners: dict[str, str],

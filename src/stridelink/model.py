@@ -1,8 +1,9 @@
 """Shared data model: detection logs, sensor streams, identities, ground truth.
 
 Timestamps are integer microseconds since epoch so stream alignment and
-tests stay bit-exact. All values here are immutable after construction and
-safe to share across workers.
+tests stay bit-exact. A sensor recording is two read-only numpy arrays.
+All values here are immutable after construction and safe to share
+across workers.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 # Integer microseconds since epoch.
 Timestamp = int
-
-DEFAULT_FPS = 30.0
 
 
 @dataclass(frozen=True)
@@ -45,28 +46,24 @@ class DetectionFrame:
         object.__setattr__(self, "boxes", tuple(boxes))
 
 
-@dataclass(frozen=True)
-class AccSampleRaw:
-    """One raw 3-axis accelerometer sample, m/s² per axis."""
-
-    timestamp: Timestamp
-    ax: float
-    ay: float
-    az: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensorStream:
-    """Raw accelerometer recording from a single phone."""
+    """Raw accelerometer recording from a single phone: `ts_us`, int64 of
+    shape (N,), and `samples`, float64 of shape (N, 3), rows of ax, ay, az
+    in m/s². Both are copied into read-only arrays."""
 
     sensor_id: str
-    samples: tuple[AccSampleRaw, ...]
+    ts_us: np.ndarray
+    samples: np.ndarray
     nominal_rate: float
 
-    def __init__(self, sensor_id: str, samples: Sequence[AccSampleRaw], nominal_rate: float):
-        object.__setattr__(self, "sensor_id", sensor_id)
-        object.__setattr__(self, "samples", tuple(samples))
-        object.__setattr__(self, "nominal_rate", float(nominal_rate))
+    def __post_init__(self) -> None:
+        ts = np.array(self.ts_us, dtype=np.int64)
+        xyz = np.array(self.samples, dtype=np.float64).reshape(-1, 3)
+        ts.flags.writeable = xyz.flags.writeable = False
+        object.__setattr__(self, "ts_us", ts)
+        object.__setattr__(self, "samples", xyz)
+        object.__setattr__(self, "nominal_rate", float(self.nominal_rate))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """End-to-end streaming pipeline: detections + sensor streams -> pairings.
 
 Per frame: advance the tracer, extend each live trace's ratio stream
-(filling the frames a trace went unseen by linear interpolation, as
-`ratio_sequence` does), feed every sensor's frame-aligned step feature,
+(its boxes' height/width, filling the frames a trace went unseen by
+linear interpolation), feed every sensor's frame-aligned step feature,
 then score each gated trace against every sensor and solve both pairing
 stages.
 Both kinds of stream sit on one absolute frame grid: a frame index the
@@ -19,6 +19,7 @@ and it keeps the hot loop in pure Python data structures.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -28,7 +29,6 @@ from .model import DetectionFrame, SensorStream
 from .pairing import Assignment, RefinedState, raw_pair, refined_pair, update_rsim
 from .similarity import ExtremeStream, PairScorer, SimilarityMatrix, SimilarityParams
 from .tracer import Trace, TracerParams, Tracker
-from .video_features import interpolate_gap
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,9 @@ class PipelineParams:
     similarity: SimilarityParams = SimilarityParams()
 
     def __post_init__(self) -> None:
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
-        if self.ts_gate <= 0:
-            raise ValueError("ts_gate must be positive")
+        for name in ("fps", "ts_gate"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,15 @@ class MatchRun:
         return len(self.frames) / self.elapsed_s
 
 
+def interpolate_gap(prev_ratio: float, next_ratio: float, gap: int) -> list[float]:
+    """Ratios for the gap-1 missing frames strictly between two sightings."""
+    step = (next_ratio - prev_ratio) / gap
+    return [prev_ratio + step * k for k in range(1, gap)]
+
+
 class _TraceStream:
-    """Ratio stream of one live trace: pushes observed h/w per sighting,
-    interpolating skipped frames exactly like `ratio_sequence`."""
+    """Ratio stream of one live trace: pushes the h/w of each sighting and
+    fills the frames between two linearly, which adds no extremum inside."""
 
     def __init__(self, d: int, start_frame: int):
         self.extremes = ExtremeStream(d, start_frame)

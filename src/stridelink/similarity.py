@@ -155,10 +155,6 @@ class ExtremeStream:
     def __len__(self) -> int:
         return len(self._values)
 
-    @property
-    def end_frame(self) -> int:
-        return self.start_frame + len(self._values) - 1
-
     def push(self, value: float) -> None:
         if self.flushed:
             raise ValueError("stream already flushed")

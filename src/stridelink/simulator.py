@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .model import AccSampleRaw, BoundingBox, DetectionFrame, SensorStream
+from .model import BoundingBox, DetectionFrame, SensorStream
 
 G = 9.81
 
@@ -244,14 +244,14 @@ def generate(config: ScenarioConfig) -> ScenarioData:
     sensor_owners: dict[str, str] = {}
     for k, p in enumerate(config.persons):
         rng = Xorshift64Star(config.seed, stream=2 * k + 1)
+        ts_us = [round(i / config.acc_rate * 1e6) for i in range(n_samples)]
         samples = []
         for i in range(n_samples):
-            t = i / config.acc_rate
-            m = acc_signal(p, t) + rng.gauss(p.carry_noise)
+            m = acc_signal(p, i / config.acc_rate) + rng.gauss(p.carry_noise)
             # phone orientation is arbitrary; park the whole magnitude on
             # one axis, the pipeline only ever sees the norm
-            samples.append(AccSampleRaw(round(t * 1e6), 0.0, 0.0, max(m, 0.0)))
-        streams.append(SensorStream(p.sensor, tuple(samples), config.acc_rate))
+            samples.append((0.0, 0.0, max(m, 0.0)))
+        streams.append(SensorStream(p.sensor, ts_us, samples, config.acc_rate))
         sensor_owners[p.sensor] = p.person_id
 
     return ScenarioData(tuple(frames), tuple(streams), sensor_owners, box_owners, config)

@@ -25,6 +25,24 @@ def oracle_marks(seq, d):
     return out
 
 
+def oracle_ratios(sightings):
+    """Literal fill rule of a trace's ratio stream: sightings are (frame,
+    h/w) pairs in frame order. One value per frame from the first sighting
+    to the last; a frame between two sightings p < f < n takes
+    r_p + (r_n - r_p) / (n - p) * (f - p)."""
+    seen = dict(sightings)
+    frames = sorted(seen)
+    out = []
+    for f in range(frames[0], frames[-1] + 1):
+        if f in seen:
+            out.append(seen[f])
+            continue
+        p = max(g for g in frames if g < f)
+        n = min(g for g in frames if g > f)
+        out.append(seen[p] + (seen[n] - seen[p]) / (n - p) * (f - p))
+    return out
+
+
 def oracle_sim(t, a, d=10, t_start=0, a_start=0, penalty=None, floor=0.5):
     """Literal score rule: the number of trace marks over the summed
     distance from each trace mark to the nearest same-sign sensor mark at

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from stridelink.acc_features import FilterSpec, MagnitudeSequence, lowpass
+from stridelink.acc_features import FilterSpec, lowpass
 from stridelink.cli import main
 from stridelink.evaluation import evaluate_run, ts_sweep
 from stridelink.pairing import solve_lsap
@@ -66,13 +66,12 @@ def test_assignment_solver_exact_against_enumeration():
 
 def _lockin_db(freq, rate=100.0, duration=30.0, skip_s=3.0):
     n = int(duration * rate)
-    ts = tuple(round(i / rate * 1e6) for i in range(n))
-    values = tuple(math.sin(2 * math.pi * freq * i / rate) for i in range(n))
-    filtered = lowpass(MagnitudeSequence("s", rate, ts, values))
+    values = [math.sin(2 * math.pi * freq * i / rate) for i in range(n)]
+    filtered = lowpass(values, rate).tolist()
     skip = int(skip_s * rate)
     acc = 0j
     for k in range(skip, n):
-        acc += filtered.values[k] * complex(
+        acc += filtered[k] * complex(
             math.cos(2 * math.pi * freq * k / rate),
             -math.sin(2 * math.pi * freq * k / rate),
         )

@@ -212,6 +212,29 @@ def test_scenario_field_of_wrong_type_reported(tmp_path, capsys, scenario, messa
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("path", [5, [[1, 2, 3]], [["a", 1]]], ids=["number", "triple", "string"])
+def test_scenario_path_of_wrong_shape_reported(tmp_path, capsys, path):
+    scenario = {**SCENARIO, "persons": [{"person_id": "p0", "stride_frequency": 0.9, "path": path}]}
+    cfg = write_cfg(tmp_path, scenario=scenario)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scenario.persons[0].path must be a list of [x, y] number pairs, "
+        f"got {json.dumps(path)}"]
+
+
+@pytest.mark.parametrize("similarity, message", [
+    ({"extreme_window": 10.5}, "match.similarity.extreme_window must be an integer, got 10.5"),
+    ({"d": 8, "extreme_window": 12},
+     "match.similarity: give d or its alias extreme_window, not both"),
+], ids=["alias-float", "alias-and-d"])
+def test_similarity_window_alias_errors_name_the_alias(tmp_path, capsys, similarity, message):
+    simulated(tmp_path)
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, match={**MATCH, "similarity": similarity}, name="a.json")
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_unknown_match_key_rejected(tmp_path, capsys):
     simulated(tmp_path)
     cfg = write_cfg(tmp_path, match={**MATCH, "tsgate": 9}, name="k.json")
@@ -223,7 +246,7 @@ def test_invalid_match_value_reported(tmp_path, capsys):
     simulated(tmp_path)
     cfg = write_cfg(tmp_path, match={**MATCH, "fps": 0}, name="f.json")
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == "error: match: fps must be positive"
+    assert capsys.readouterr().err.splitlines()[-1] == "error: match: fps must be finite and positive"
 
 
 @pytest.mark.parametrize("key, value, kind", [

@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from stridelink.evaluation import TsSweepRow
@@ -40,7 +42,9 @@ def test_sensor_csv_round_trip_exactly(tmp_path, data):
     write_sensor_csv(path, data.streams[0])
     back = read_sensor_csv(path)
     assert back.sensor_id == "p0-acc"  # from the filename
-    assert back.samples == data.streams[0].samples
+    assert back.ts_us.dtype == np.int64 and back.samples.dtype == np.float64
+    assert np.array_equal(back.ts_us, data.streams[0].ts_us)
+    assert np.array_equal(back.samples, data.streams[0].samples)
 
 
 def test_inferred_rate_recovers_regular_sampling(tmp_path, data):
@@ -79,6 +83,41 @@ def test_nonincreasing_timestamp_rejected(tmp_path):
     path.write_text("ts_us,ax,ay,az\n0,0,0,9.8\n10000,0,0,9.8\n10000,0,0,9.8\n")
     with pytest.raises(FormatError, match=r"s\.csv:4.*does not increase"):
         read_sensor_csv(str(path))
+
+
+@pytest.mark.parametrize("body, line", [
+    # a non-increasing timestamp before a NaN: the earlier row is named
+    ("0,0,0,9.8\n10000,0,0,9.8\n10000,0,0,9.8\n" + "".join(
+        f"{k * 10000},0,0,9.8\n" for k in range(3, 8)) + "80000,0,nan,9.8\n", 4),
+    ("0,0,0,9.8\n10000,0,abc,9.8\n", 3),
+    ("0,0,0,9.8\n10000,0,0,9.8\n20000,0,9.8\n", 4),
+    # a value defect before a row numpy refuses is named first
+    ("0,0,0,9.8\n10000,0,inf,9.8\n20000,0,abc,9.8\n", 3),
+    # blank lines count toward the line number
+    ("0,0,0,9.8\n\n\n10000,0,abc,9.8\n", 5),
+    ("0,0,0,9.8\n\n10000,0,0,9.8\n\n0,0,0,9.8\n", 6),
+    ("0,0,0,9.8\n\n10000,nan,0,9.8\n", 4),
+], ids=["backwards-before-nan", "abc-in-ay", "three-fields", "inf-before-abc",
+        "blank-before-abc", "blank-before-backwards", "blank-before-nan"])
+def test_first_bad_sensor_row_named_by_line(tmp_path, body, line):
+    path = tmp_path / "s.csv"
+    path.write_text("ts_us,ax,ay,az\n" + body)
+    with pytest.raises(FormatError, match=rf"s\.csv:{line}: "):
+        read_sensor_csv(str(path))
+
+
+# sha256 of write_sensor_csv output for sensor p0-acc of
+# two_person_config(duration=20.0): every float is written as the repr of a
+# Python float, so the bytes do not depend on how the samples are stored.
+SENSOR_CSV_SHA256 = "78f90bbd1a278c19e44a9bae48a2a546bb40b30d462f351d12952a86e6343cd5"
+
+
+def test_sensor_csv_bytes_pinned(tmp_path):
+    data = generate(two_person_config(duration=20.0))
+    (stream,) = [s for s in data.streams if s.sensor_id == "p0-acc"]
+    path = tmp_path / "p0-acc.csv"
+    write_sensor_csv(str(path), stream)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SENSOR_CSV_SHA256
 
 
 def test_single_sample_stream_rejected(tmp_path):

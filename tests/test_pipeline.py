@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -7,11 +8,9 @@ from stridelink.fileio import write_assignments
 from stridelink.model import BoundingBox, DetectionFrame
 from stridelink.pipeline import PipelineParams, _TraceStream, run_pipeline
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
-from stridelink.tracer import Trace
-from stridelink.video_features import ratio_sequence
 
 from conftest import two_person_config
-from helpers import oracle_marks
+from helpers import oracle_marks, oracle_ratios
 
 
 def box_with_ratio(r):
@@ -23,15 +22,14 @@ def test_live_stream_fills_gaps_like_the_batch_path():
         (f, box_with_ratio(r))
         for f, r in [(3, 2.0), (4, 2.6), (7, 1.7), (8, 2.2), (14, 2.9)]
     )
-    trace = Trace("t0000", entries, last_seen=14)
-    batch = ratio_sequence(trace)
+    batch = oracle_ratios([(f, b.ratio) for f, b in entries])
 
     stream = _TraceStream(d=10, start_frame=3)
     for f, b in entries:
         stream.push(f, b.ratio)
     assert len(stream.extremes) == len(batch)
     stream.extremes.flush()
-    assert stream.extremes.marks == oracle_marks(batch.values(), 10)
+    assert stream.extremes.marks == oracle_marks(batch, 10)
 
 
 def test_empty_input_yields_empty_run():
@@ -146,6 +144,13 @@ def test_params_validated():
         PipelineParams(fps=0.0)
     with pytest.raises(ValueError):
         PipelineParams(ts_gate=-1.0)
+
+
+@pytest.mark.parametrize("field", ["fps", "ts_gate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_params_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        PipelineParams(**{field: value})
 
 
 # sha256 of assignments.jsonl for the scene below. It was recorded with a

@@ -1,64 +1,73 @@
-from stridelink.model import BoundingBox, DetectionFrame
-from stridelink.similarity import detect_extremes
+"""The video feature: a live trace's ratio stream (`pipeline._TraceStream`),
+checked against the literal fill rule in helpers.oracle_ratios."""
+
+from stridelink.model import BoundingBox
+from stridelink.pipeline import _TraceStream, interpolate_gap
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
-from stridelink.tracer import Trace, Tracker
-from stridelink.video_features import interpolate_gap, ratio_sequence
+from stridelink.tracer import Tracker
 
-import pytest
+from helpers import oracle_marks, oracle_ratios
 
 
-def trace_of(entries):
-    return Trace("t0000", tuple(entries), last_seen=entries[-1][0])
+def live(sightings, d=10):
+    """The ratio stream of these (frame, h/w) sightings, flushed, and every
+    value it pushed to its extremum stream."""
+    stream = _TraceStream(d, sightings[0][0])
+    pushed = []
+    push = stream.extremes.push
+
+    def record(value):
+        pushed.append(value)
+        push(value)
+
+    stream.extremes.push = record
+    for f, r in sightings:
+        stream.push(f, r)
+    stream.extremes.flush()
+    return stream, pushed
 
 
 def test_single_entry_ratio():
-    t = trace_of([(0, BoundingBox(0, 0, 50, 100))])
-    seq = ratio_sequence(t)
-    assert len(seq) == 1
-    assert seq.samples[0].ratio == 2.0
-    assert not seq.samples[0].synthetic
+    stream, pushed = live([(0, BoundingBox(0, 0, 50, 100).ratio)])
+    assert pushed == [2.0] == oracle_ratios([(0, 2.0)])
+    assert stream.extremes.start_frame == 0
 
 
-def test_gap_filled_linearly_and_flagged():
-    t = trace_of([
-        (1, BoundingBox(0, 0, 50, 100)),   # ratio 2.0
-        (3, BoundingBox(0, 0, 50, 150)),   # ratio 3.0
-    ])
-    seq = ratio_sequence(t)
-    assert [s.frame_index for s in seq.samples] == [1, 2, 3]
-    assert seq.samples[1].ratio == 2.5
-    assert seq.samples[1].synthetic
-    assert not seq.samples[0].synthetic and not seq.samples[2].synthetic
+def test_gap_filled_linearly():
+    sightings = [
+        (1, BoundingBox(0, 0, 50, 100).ratio),   # 2.0
+        (3, BoundingBox(0, 0, 50, 150).ratio),   # 3.0
+    ]
+    _, pushed = live(sightings)
+    assert pushed == [2.0, 2.5, 3.0] == oracle_ratios(sightings)
 
 
 def test_length_covers_full_span():
-    t = trace_of([
-        (10, BoundingBox(0, 0, 50, 100)),
-        (14, BoundingBox(0, 0, 50, 120)),
-        (15, BoundingBox(0, 0, 50, 110)),
-    ])
-    seq = ratio_sequence(t)
-    assert len(seq) == 15 - 10 + 1
-    assert seq.start_frame == 10
+    sightings = [
+        (10, BoundingBox(0, 0, 50, 100).ratio),
+        (14, BoundingBox(0, 0, 50, 120).ratio),
+        (15, BoundingBox(0, 0, 50, 110).ratio),
+    ]
+    stream, pushed = live(sightings)
+    assert len(stream.extremes) == 15 - 10 + 1
+    assert stream.extremes.start_frame == 10
+    assert pushed == oracle_ratios(sightings)
 
 
 def test_interpolate_gap_endpoints_excluded():
     assert interpolate_gap(2.0, 3.0, 4) == [2.25, 2.5, 2.75]
-
-
-def test_empty_trace_rejected():
-    with pytest.raises(ValueError):
-        ratio_sequence(Trace("t0000", (), last_seen=0))
+    assert interpolate_gap(2.0, 3.0, 4) == oracle_ratios([(0, 2.0), (4, 3.0)])[1:-1]
 
 
 def test_scaling_ratios_keeps_extremum_marks():
-    t = trace_of([
-        (f, BoundingBox(0, 0, 50, 100 + 30 * ((f * 7) % 5)))
+    sightings = [
+        (f, BoundingBox(0, 0, 50, 100 + 30 * ((f * 7) % 5)).ratio)
         for f in range(40)
-    ])
-    values = ratio_sequence(t).values()
-    scaled = [3.7 * v for v in values]
-    assert detect_extremes(values, 10).values == detect_extremes(scaled, 10).values
+    ]
+    plain, pushed = live(sightings)
+    scaled, _ = live([(f, 3.7 * r) for f, r in sightings])
+    assert pushed == oracle_ratios(sightings)
+    assert plain.extremes.marks == scaled.extremes.marks == oracle_marks(pushed, 10)
 
 
 def test_noise_free_walker_trace_peaks_once_per_step():
@@ -74,6 +83,8 @@ def test_noise_free_walker_trace_peaks_once_per_step():
     for frame in data.frames:
         tracker.update(frame)
     (trace,) = tracker.traces.values()
-    marks = detect_extremes(ratio_sequence(trace).values(), 10)
-    maxima = sum(1 for v in marks.values if v == 1)
+    sightings = [(f, box.ratio) for f, box in trace.entries]
+    stream, pushed = live(sightings)
+    assert pushed == oracle_ratios(sightings)
+    maxima = sum(1 for v in stream.extremes.marks if v == 1)
     assert 5 <= maxima <= 7
