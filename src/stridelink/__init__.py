@@ -43,6 +43,7 @@ from .pairing import (
     raw_pair,
     refined_pair,
     solve_lsap,
+    solve_matrix,
     update_rsim,
 )
 from .pipeline import FrameResult, MatchRun, PipelineParams, interpolate_gap, run_pipeline

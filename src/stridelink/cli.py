@@ -130,6 +130,8 @@ def _pipeline_params(mc: dict) -> PipelineParams:
         if not _is_kind(window, int):
             raise CliError(f"match.similarity.extreme_window must be {_TYPE_NAMES[int]}, "
                            f"got {json.dumps(window)}")
+        if window < 2:
+            raise CliError(f"match.similarity.extreme_window must be >= 2, got {window}")
         sim_keys["d"] = window
     tracer = _from_dict(TracerParams, mc.get("tracer", {}), "match.tracer")
     filter_spec = _from_dict(FilterSpec, mc.get("filter", {}), "match.filter")

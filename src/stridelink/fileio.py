@@ -15,6 +15,7 @@ import os
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured
 
 from .evaluation import TsSweepRow
 from .model import BoundingBox, DetectionFrame, SensorStream
@@ -89,7 +90,10 @@ def read_sensor_csv(path: str, sensor_id: str | None = None) -> SensorStream:
     k = min(np.flatnonzero(nonfinite | backwards)[:1].tolist() + [refused])
     if k < len(rows):
         lineno = [n for n, line in enumerate(lines, start=1) if line][k + 1]
-        if k == refused:
+        n_fields = rows[k].count(",") + 1
+        if k == refused and n_fields != len(SENSOR_HEADER):
+            problem = f"expected {len(SENSOR_HEADER)} fields {','.join(SENSOR_HEADER)}, got {n_fields}"
+        elif k == refused:
             problem = f"expected numbers {','.join(SENSOR_HEADER)}, got {rows[k]!r}"
         elif nonfinite[k]:
             problem = f"ax, ay, az must be finite, got {','.join(rows[k].split(',')[1:4])}"
@@ -102,15 +106,19 @@ def read_sensor_csv(path: str, sensor_id: str | None = None) -> SensorStream:
     return SensorStream(sensor_id, ts, xyz, rate)
 
 
+_SENSOR_ROW = np.dtype([(SENSOR_HEADER[0], np.int64)] + [(name, np.float64) for name in SENSOR_HEADER[1:]])
+
+
 def _parse_rows(rows: Sequence[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Columns ts_us (int64) and ax, ay, az of CSV rows; None if numpy refuses a row."""
+    """Columns ts_us (int64) and ax, ay, az of CSV rows; None if numpy
+    refuses a row, including one without exactly four fields."""
     if not rows:
         return np.empty(0, np.int64), np.empty((0, 3))
     try:
-        return (np.loadtxt(rows, np.int64, delimiter=",", usecols=0, ndmin=1, comments=None),
-                np.loadtxt(rows, np.float64, delimiter=",", usecols=(1, 2, 3), ndmin=2, comments=None))
+        table = np.loadtxt(rows, _SENSOR_ROW, delimiter=",", ndmin=1, comments=None)
     except ValueError:
         return None
+    return table[SENSOR_HEADER[0]], structured_to_unstructured(table[SENSOR_HEADER[1:]])
 
 
 def write_truth(path: str, sensor_owners: dict[str, str],

@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .acc_features import AccFeatureSequence, FilterSpec, step_features
 from .model import DetectionFrame, SensorStream
 from .pairing import Assignment, RefinedState, raw_pair, refined_pair, update_rsim
@@ -117,8 +119,8 @@ def run_pipeline(
     gate = params.ts_gate * params.fps
     tracker = Tracker(params.tracer)
     trace_streams: dict[str, _TraceStream] = {}
-    # trace id -> (its scorer against every sensor, the matrix keys of its row)
-    scorers: dict[str, tuple[PairScorer, list[tuple[str, str]]]] = {}
+    # trace id -> its scorer against every sensor
+    scorers: dict[str, PairScorer] = {}
     row_streams = [sensor_streams[sid] for sid in sensor_ids]
     state = RefinedState()
     results: list[FrameResult] = []
@@ -145,23 +147,22 @@ def run_pipeline(
             for pos in range(len(stream), f - stream.start_frame + 1):
                 stream.push(values[pos])
 
-        scores: dict[tuple[str, str], float] = {}
+        trace_ids: list[str] = []
+        rows: list[tuple[float, ...]] = []
         if row_streams and all(len(stream) >= gate for stream in row_streams):
             for tid in sorted(trace_streams):
                 tstream = trace_streams[tid]
                 if len(tstream.extremes) < gate:
                     continue
-                row = scorers.get(tid)
-                if row is None:
-                    row = scorers[tid] = (
-                        PairScorer(tstream.extremes, row_streams, params.similarity),
-                        [(tid, sid) for sid in sensor_ids],
-                    )
-                scorer, row_keys = row
+                scorer = scorers.get(tid)
+                if scorer is None:
+                    scorer = scorers[tid] = PairScorer(tstream.extremes, row_streams, params.similarity)
                 scorer.advance()
-                scores.update(zip(row_keys, scorer.score()))
+                trace_ids.append(tid)
+                rows.append(scorer.score())
 
-        matrix = SimilarityMatrix(scores, f)
+        values = np.array(rows, dtype=np.float64).reshape(len(rows), len(sensor_ids))
+        matrix = SimilarityMatrix(trace_ids, sensor_ids, values, f)
         raw = raw_pair(matrix)
         update_rsim(state, raw)
         refined = refined_pair(state)

@@ -27,9 +27,13 @@ per-frame cost constant. `sim` runs the same engine on a one-sensor row.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,21 @@ def sim(t: TernarySequence, a: TernarySequence, params: SimilarityParams = Simil
     return scorer.score()[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
-    """Scores of every gated (trace, sensor) pair as of one frame."""
+    """Scores of every gated (trace, sensor) pair as of one frame:
+    values[k, m] scores trace_ids[k] against sensor_ids[m], both id lists
+    in increasing order."""
 
-    scores: dict[tuple[str, str], float]
+    trace_ids: Sequence[str]
+    sensor_ids: Sequence[str]
+    values: np.ndarray
     as_of_frame: int
+
+    @functools.cached_property
+    def scores(self) -> dict[tuple[str, str], float]:
+        """The same scores keyed by (trace, sensor)."""
+        return dict(zip(itertools.product(self.trace_ids, self.sensor_ids), self.values.ravel().tolist()))
 
 
 class ExtremeStream:

@@ -1,10 +1,15 @@
 """Independent reference implementations the tests check the package against.
 
 Deliberately written in the most literal way possible, sharing no code with
-the package: plain neighbor scans and exhaustive enumeration.
+the package: plain neighbor scans, exhaustive enumeration, and the
+canonical pairing walk that re-solves for every candidate column.
 """
 
 import itertools
+import math
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def oracle_marks(seq, d):
@@ -86,6 +91,61 @@ def brute_force_lsap(weights):
         elif obj == best_obj and pairs not in best_sets:
             best_sets.append(pairs)
     return best_obj, best_sets
+
+
+def oracle_lsap(weights):
+    """The canonical pairing walk without the uniqueness certificate:
+    (pairs, objective) of the lexicographically smallest optimum, totals
+    within a relative 1e-9 of the optimum counting as optimal. Rows are
+    visited in id order; a positive-weight column is accepted iff forcing
+    it admits such a completion, checked by a reduced solve unless the
+    walk is still on the solver's own optimum."""
+    for key, wv in weights.items():
+        if not math.isfinite(wv) or wv < 0:
+            raise ValueError(f"weight for {key} must be finite and >= 0, got {wv}")
+    row_ids = sorted({t for t, _ in weights})
+    col_ids = sorted({s for _, s in weights})
+    nr, nc = len(row_ids), len(col_ids)
+    row_index = {t: i for i, t in enumerate(row_ids)}
+    col_index = {c: j for j, c in enumerate(col_ids)}
+    w = np.zeros((nr, nc))
+    for (t, s), wv in weights.items():
+        w[row_index[t], col_index[s]] = wv
+
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    best = float(w[rows, cols].sum())
+    base_cols = dict(zip(rows.tolist(), cols.tolist()))
+    eps = 1e-9 * max(1.0, abs(best))
+
+    on_base = True
+    free_cols = list(range(nc))
+    fixed = []
+    fixed_sum = 0.0
+    for i in range(nr):
+        later_rows = list(range(i + 1, nr))
+        base_j = base_cols.get(i, -1)
+        chosen = -1
+        for j in free_cols:
+            if w[i, j] <= 0.0:
+                continue
+            if on_base and j == base_j:
+                chosen = j
+                break
+            rest = w[np.ix_(later_rows, [c for c in free_cols if c != j])]
+            r, c = linear_sum_assignment(rest, maximize=True)
+            if fixed_sum + w[i, j] + rest[r, c].sum() >= best - eps:
+                chosen = j
+                break
+        if chosen >= 0:
+            if chosen != base_j:
+                on_base = False
+            fixed.append((row_ids[i], col_ids[chosen]))
+            fixed_sum += w[i, chosen]
+            free_cols.remove(chosen)
+    objective = 0.0
+    for t, s in fixed:
+        objective += weights.get((t, s), 0.0)
+    return frozenset(fixed), objective
 
 
 def lex_smallest(pair_sets):

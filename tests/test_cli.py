@@ -226,7 +226,8 @@ def test_scenario_path_of_wrong_shape_reported(tmp_path, capsys, path):
     ({"extreme_window": 10.5}, "match.similarity.extreme_window must be an integer, got 10.5"),
     ({"d": 8, "extreme_window": 12},
      "match.similarity: give d or its alias extreme_window, not both"),
-], ids=["alias-float", "alias-and-d"])
+    ({"extreme_window": 1}, "match.similarity.extreme_window must be >= 2, got 1"),
+], ids=["alias-float", "alias-and-d", "alias-below-range"])
 def test_similarity_window_alias_errors_name_the_alias(tmp_path, capsys, similarity, message):
     simulated(tmp_path)
     capsys.readouterr()

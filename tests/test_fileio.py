@@ -97,13 +97,24 @@ def test_nonincreasing_timestamp_rejected(tmp_path):
     ("0,0,0,9.8\n\n\n10000,0,abc,9.8\n", 5),
     ("0,0,0,9.8\n\n10000,0,0,9.8\n\n0,0,0,9.8\n", 6),
     ("0,0,0,9.8\n\n10000,nan,0,9.8\n", 4),
+    # extra fields are not dropped
+    ("0,0,0,9.8\n10000,0,0,9.8\n20000,0,0,9.8\n30000,0,0,9.8,junk,7\n", 5),
 ], ids=["backwards-before-nan", "abc-in-ay", "three-fields", "inf-before-abc",
-        "blank-before-abc", "blank-before-backwards", "blank-before-nan"])
+        "blank-before-abc", "blank-before-backwards", "blank-before-nan", "extra-fields"])
 def test_first_bad_sensor_row_named_by_line(tmp_path, body, line):
     path = tmp_path / "s.csv"
     path.write_text("ts_us,ax,ay,az\n" + body)
     with pytest.raises(FormatError, match=rf"s\.csv:{line}: "):
         read_sensor_csv(str(path))
+
+
+@pytest.mark.parametrize("row, n_fields", [("10000,0,0,9.8,junk,7", 6), ("10000,0,9.8", 3)])
+def test_sensor_row_with_wrong_field_count_named(tmp_path, row, n_fields):
+    path = tmp_path / "s.csv"
+    path.write_text(f"ts_us,ax,ay,az\n0,0,0,9.8\n{row}\n20000,0,0,9.8\n")
+    with pytest.raises(FormatError) as info:
+        read_sensor_csv(str(path))
+    assert str(info.value) == f"{path}:3: expected 4 fields ts_us,ax,ay,az, got {n_fields}"
 
 
 # sha256 of write_sensor_csv output for sensor p0-acc of

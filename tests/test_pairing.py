@@ -1,19 +1,22 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from stridelink import pairing
 from stridelink.pairing import (
     Assignment,
     RefinedState,
     raw_pair,
     refined_pair,
     solve_lsap,
+    solve_matrix,
     update_rsim,
 )
 from stridelink.similarity import SimilarityMatrix
 
-from helpers import brute_force_lsap, lex_smallest
+from helpers import brute_force_lsap, lex_smallest, oracle_lsap
 
 
 def grid(rows):
@@ -147,8 +150,90 @@ def test_assignment_helpers():
 
 
 def test_raw_pair_reads_the_matrix():
-    m = SimilarityMatrix(grid([[0.9, 0.2], [0.3, 0.8]]), as_of_frame=99)
+    m = SimilarityMatrix(["t0", "t1"], ["s0", "s1"], np.array([[0.9, 0.2], [0.3, 0.8]]), as_of_frame=99)
     assert raw_pair(m).pairs == {("t0", "s0"), ("t1", "s1")}
+    assert m.scores == grid([[0.9, 0.2], [0.3, 0.8]])
+
+
+# the certificate against the walk that re-solves for every candidate
+
+
+def _equivalence_instances(rng):
+    """Weight matrices of 0-20 rows x 0-20 columns: integer ties, floats at
+    several scales, zeroed and tiny entries, and near-ties around integer
+    matrices."""
+    for case in range(3000):
+        nr, nc = rng.randint(0, 20), rng.randint(0, 20)
+        if case % 2:
+            nr, nc = nc, nr
+        kind = case % 5
+        if kind == 0:
+            w = [[float(rng.randint(0, 3)) for _ in range(nc)] for _ in range(nr)]
+        elif kind in (1, 2):
+            scale = rng.choice((1e-3, 1.0, 1e2, 1e4))
+            w = [[rng.uniform(0, scale) for _ in range(nc)] for _ in range(nr)]
+        elif kind == 3:
+            w = [[rng.choice((0.0, 0.0, 0.0, 1e-10, rng.uniform(0, 10), rng.uniform(0, 10)))
+                  for _ in range(nc)] for _ in range(nr)]
+        else:
+            # an integer matrix whose optimum is about 10 * min(nr, nc): one
+            # entry in three nudged by a multiple of eps at that scale
+            eps = 1e-9 * max(1.0, 10.0 * min(nr, nc))
+            w = [[float(rng.randint(5, 10)) for _ in range(nc)] for _ in range(nr)]
+            for row in w:
+                for j in range(nc):
+                    if rng.random() < 1 / 3:
+                        row[j] += rng.choice((-1, 1)) * rng.choice((0.3, 0.6, 1.0, 1.5, 2.5)) * eps
+        yield w
+
+
+def test_solver_equals_the_walk_without_certificate():
+    rng = random.Random(8)
+    for w in _equivalence_instances(rng):
+        # zero-padded ids sort in index order, so both forms see one matrix
+        row_ids = [f"t{i:02d}" for i in range(len(w))]
+        col_ids = [f"s{j:02d}" for j in range(len(w[0]) if w else 0)]
+        weights = {(t, s): v for t, row in zip(row_ids, w) for s, v in zip(col_ids, row)}
+        want_pairs, want_objective = oracle_lsap(weights)
+        for got in (solve_lsap(weights),
+                    solve_matrix(np.array(w).reshape(len(row_ids), len(col_ids)), row_ids, col_ids)):
+            assert got.pairs == want_pairs
+            assert got.objective.hex() == want_objective.hex()
+
+
+def test_weight_absorbed_by_rounding_still_pairs():
+    # 1e16 + 1e-17 == 1e16 in floating point, so the solver leaves t0 on
+    # the worthless s0 although t0-s3 carries weight; the walk still pairs
+    # t0-s3, and no certificate may cut it short
+    w = [[0.0, 3.0, 0.0, 1e-17], [1.0, 1e16, 0.0, 0.0]]
+    want_pairs, want_objective = oracle_lsap(grid(w))
+    assert want_pairs == {("t0", "s3"), ("t1", "s1")}
+    got = solve_lsap(grid(w))
+    assert (got.pairs, got.objective) == (want_pairs, want_objective)
+
+
+def test_unique_optimum_takes_at_most_two_solves(monkeypatch):
+    calls = []
+    real = pairing.linear_sum_assignment
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pairing, "linear_sum_assignment", counted)
+    # a dominant anti-diagonal: the optimum is unique and not in row order,
+    # so each row has smaller positive columns the walk would have to rule out
+    rng = random.Random(16)
+    w = [[rng.uniform(0.1, 1.0) + (5.0 if i + j == 15 else 0.0) for j in range(16)]
+         for i in range(16)]
+    got = solve_lsap(grid(w))
+    assert len(calls) <= 2
+    assert got.pairs == {(f"t{i}", f"s{15 - i}") for i in range(16)}
+    assert got.pairs == oracle_lsap(grid(w))[0]
+    # an all-tied matrix is a real tie: the walk still finds the diagonal
+    got = solve_matrix(np.ones((8, 8)), [f"t{i}" for i in range(8)], [f"s{j}" for j in range(8)])
+    assert got.sorted_pairs() == [(f"t{i}", f"s{i}") for i in range(8)]
+    assert got.objective == 8.0
 
 
 # refined stage
