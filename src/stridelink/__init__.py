@@ -50,6 +50,7 @@ from .pipeline import FrameResult, MatchRun, PipelineParams, interpolate_gap, ru
 from .similarity import (
     ExtremeStream,
     PairScorer,
+    SensorRow,
     SimilarityMatrix,
     SimilarityParams,
     TernarySequence,

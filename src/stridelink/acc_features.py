@@ -5,7 +5,7 @@ by taking the magnitude of the 3-axis vector. Nearly all accelerometer
 energy tied to human movement sits below 15 Hz, so the magnitude is
 low-pass filtered by a 10th-order Butterworth at 15 Hz, then resampled
 onto the camera's frame clock so both modalities share one sample grid.
-Each stage passes numpy arrays; only the frame-aligned result is Python floats.
+Each stage passes numpy arrays, the frame-aligned result included.
 
 Filtering is causal (single pass): the pipeline targets streaming, and the
 constant passband group delay shifts every extremum of this modality by
@@ -43,13 +43,14 @@ class FilterSpec:
     cutoff_hz: float = 15.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccFeatureSequence:
-    """Step feature: filtered magnitude with one value per video frame."""
+    """Step feature: filtered magnitude with one value per video frame, as
+    a read-only float64 array."""
 
     sensor_id: str
     start_frame: int
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
@@ -110,7 +111,8 @@ def resample_to_frames(
             f"frames span [{frame_clock[0][1]}, {frame_clock[-1][1]}] us"
         )
     resampled = np.interp(frame_ts, t, values)
-    return AccFeatureSequence(stream.sensor_id, first, tuple(resampled.tolist()))
+    resampled.setflags(write=False)
+    return AccFeatureSequence(stream.sensor_id, first, resampled)
 
 
 def step_features(

@@ -2,9 +2,9 @@
 
 Per frame: advance the tracer, extend each live trace's ratio stream
 (its boxes' height/width, filling the frames a trace went unseen by
-linear interpolation), feed every sensor's frame-aligned step feature,
-then score each gated trace against every sensor and solve both pairing
-stages.
+linear interpolation), release the sensors' step features through this
+frame, then score each gated trace against every sensor and solve both
+pairing stages.
 Both kinds of stream sit on one absolute frame grid: a frame index the
 log skips gets filled values in every stream, but no result of its own.
 Similarity is computed incrementally: each gated trace keeps one running
@@ -12,9 +12,11 @@ scorer against the row of all sensors, which share one frame grid; it
 folds in the trace's extremums as their search windows finalize, so
 per-frame cost does not grow with elapsed time.
 
-Sensor filtering and frame alignment happen up front: the filter is causal,
-so precomputing its output is observationally identical to streaming it,
-and it keeps the hot loop in pure Python data structures.
+Sensor filtering, frame alignment, extremum marking and the table of
+what a trace mark costs against each sensor all happen up front, as
+arrays over the whole run: the filter is causal and a mark or cost is
+used only once the frames it depends on are released, so precomputing
+them is observationally identical to streaming them.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .acc_features import AccFeatureSequence, FilterSpec, step_features
+from .acc_features import FilterSpec, step_features
 from .model import DetectionFrame, SensorStream
 from .pairing import Assignment, RefinedState, raw_pair, refined_pair, update_rsim
-from .similarity import ExtremeStream, PairScorer, SimilarityMatrix, SimilarityParams
+from .similarity import ExtremeStream, PairScorer, SensorRow, SimilarityMatrix, SimilarityParams
 from .tracer import Trace, TracerParams, Tracker
 
 
@@ -108,20 +110,19 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     frame_clock = [(f.frame_index, f.timestamp) for f in frames]
-    acc_features: dict[str, AccFeatureSequence] = {}
-    sensor_streams: dict[str, ExtremeStream] = {}
-    for stream in streams:
-        feat = step_features(stream, frame_clock, params.filter_spec)
-        acc_features[stream.sensor_id] = feat
-        sensor_streams[stream.sensor_id] = ExtremeStream(params.similarity.d, feat.start_frame)
-    sensor_ids = sorted(sensor_streams)
+    features = sorted((step_features(stream, frame_clock, params.filter_spec) for stream in streams),
+                      key=lambda feat: feat.sensor_id)
+    sensor_ids = [feat.sensor_id for feat in features]
+    # every sensor's features span the clock: one value per frame index
+    row = SensorRow(sensor_ids, params.similarity, frames[0].frame_index)
+    if features:
+        row.extend(np.stack([feat.values for feat in features]))
 
     gate = params.ts_gate * params.fps
     tracker = Tracker(params.tracer)
     trace_streams: dict[str, _TraceStream] = {}
     # trace id -> its scorer against every sensor
     scorers: dict[str, PairScorer] = {}
-    row_streams = [sensor_streams[sid] for sid in sensor_ids]
     state = RefinedState()
     results: list[FrameResult] = []
 
@@ -141,29 +142,25 @@ def run_pipeline(
             state.retire_trace(tid)
             scorers.pop(tid, None)
 
-        for sid in sensor_ids:
-            stream = sensor_streams[sid]
-            values = acc_features[sid].values
-            for pos in range(len(stream), f - stream.start_frame + 1):
-                stream.push(values[pos])
+        pushed = f - row.start_frame + 1
+        row.release(pushed)
 
         trace_ids: list[str] = []
-        rows: list[tuple[float, ...]] = []
-        if row_streams and all(len(stream) >= gate for stream in row_streams):
+        rows: list[np.ndarray] = []
+        if sensor_ids and pushed >= gate:
             for tid in sorted(trace_streams):
                 tstream = trace_streams[tid]
                 if len(tstream.extremes) < gate:
                     continue
                 scorer = scorers.get(tid)
                 if scorer is None:
-                    scorer = scorers[tid] = PairScorer(tstream.extremes, row_streams, params.similarity)
+                    scorer = scorers[tid] = PairScorer(tstream.extremes, row)
                 scorer.advance()
                 trace_ids.append(tid)
                 rows.append(scorer.score())
 
         values = np.array(rows, dtype=np.float64).reshape(len(rows), len(sensor_ids))
-        matrix = SimilarityMatrix(trace_ids, sensor_ids, values, f)
-        raw = raw_pair(matrix)
+        raw = raw_pair(SimilarityMatrix(trace_ids, sensor_ids, values))
         update_rsim(state, raw)
         refined = refined_pair(state)
         results.append(FrameResult(f, box_traces, raw, refined))

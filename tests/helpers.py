@@ -30,6 +30,14 @@ def oracle_marks(seq, d):
     return out
 
 
+def oracle_mark_cost(marks, pos, sign, d, penalty):
+    """Literal nearest-mark rule: the distance from position pos to the
+    nearest entry of marks equal to sign at most d positions away, or
+    penalty when there is none; positions outside marks hold no mark."""
+    dists = [abs(q - pos) for q, m in enumerate(marks) if m == sign and abs(q - pos) <= d]
+    return float(min(dists)) if dists else penalty
+
+
 def oracle_ratios(sightings):
     """Literal fill rule of a trace's ratio stream: sightings are (frame,
     h/w) pairs in frame order. One value per frame from the first sighting

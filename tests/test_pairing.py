@@ -150,7 +150,7 @@ def test_assignment_helpers():
 
 
 def test_raw_pair_reads_the_matrix():
-    m = SimilarityMatrix(["t0", "t1"], ["s0", "s1"], np.array([[0.9, 0.2], [0.3, 0.8]]), as_of_frame=99)
+    m = SimilarityMatrix(["t0", "t1"], ["s0", "s1"], np.array([[0.9, 0.2], [0.3, 0.8]]))
     assert raw_pair(m).pairs == {("t0", "s0"), ("t1", "s1")}
     assert m.scores == grid([[0.9, 0.2], [0.3, 0.8]])
 

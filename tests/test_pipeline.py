@@ -5,7 +5,7 @@ import pytest
 
 from stridelink import pipeline
 from stridelink.fileio import write_assignments
-from stridelink.model import BoundingBox, DetectionFrame
+from stridelink.model import BoundingBox, DetectionFrame, SensorStream
 from stridelink.pipeline import PipelineParams, _TraceStream, run_pipeline
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 
@@ -139,6 +139,46 @@ def test_one_advance_per_gated_trace_per_frame(monkeypatch):
     assert len(calls) == sum(rows)
 
 
+def test_sensor_values_never_pushed_one_at_a_time(monkeypatch):
+    """Only trace ratios go through ExtremeStream.push: one per frame from
+    each trace's first sighting to its last, gap fills included. The
+    sensors' step features are marked as one block."""
+    data = generate(two_person_config(duration=300 / 30.0, dropout_prob=0.1))
+    pushes = []
+    push = pipeline.ExtremeStream.push
+
+    def counted(self, value):
+        pushes.append(value)
+        return push(self, value)
+
+    monkeypatch.setattr(pipeline.ExtremeStream, "push", counted)
+    run = run_pipeline(data.frames, data.streams)
+    spans = [t.entries[-1][0] - t.start_frame + 1 for t in run.traces.values()]
+    assert sum(spans) > sum(len(t.entries) for t in run.traces.values())  # some gaps were filled
+    assert len(pushes) == sum(spans)
+
+
+def test_non_finite_sensor_feature_named_before_any_frame(monkeypatch):
+    data = generate(two_person_config(duration=300 / 30.0))
+    stream = data.streams[1]
+    samples = stream.samples.copy()
+    samples[200, 1] = math.nan
+    streams = [data.streams[0], SensorStream(stream.sensor_id, stream.ts_us, samples, stream.nominal_rate)]
+    updates = []
+    monkeypatch.setattr(pipeline.Tracker, "update", lambda self, frame: updates.append(frame))
+    with pytest.raises(ValueError, match=rf"sensor '{stream.sensor_id}': non-finite step feature nan at frame 60$"):
+        run_pipeline(data.frames, streams)
+    assert updates == []
+
+
+def test_two_streams_with_one_sensor_id_rejected():
+    data = generate(two_person_config(duration=5.0))
+    first, second = data.streams
+    twin = SensorStream(first.sensor_id, second.ts_us, second.samples, second.nominal_rate)
+    with pytest.raises(ValueError, match=f"sensor id '{first.sensor_id}' given more than once"):
+        run_pipeline(data.frames, [first, twin])
+
+
 def test_params_validated():
     with pytest.raises(ValueError):
         PipelineParams(fps=0.0)
@@ -158,6 +198,10 @@ def test_non_finite_params_rejected(field, value):
 # not depend on which optimum the solver finds first.
 TIED_SCENE_SHA256 = "076b85da6d0fed6ba4c8f8e9537a7ac44c10607192570d5168bdaa74a641cdb6"
 
+# sha256 of assignments.jsonl for 12 walkers in the scaling layout below,
+# recorded while each sensor value was still pushed and marked on its own.
+SCALING_SCENE_SHA256 = "a3283ea8fa44b58715c37dce0e5197befbe6b060538ab95717759cf2dbc168ca"
+
 
 def test_tied_scene_keeps_its_canonical_pairs(tmp_path):
     """Eight walkers with one gait give 8 x 8 matrices full of tied weights,
@@ -172,3 +216,18 @@ def test_tied_scene_keeps_its_canonical_pairs(tmp_path):
     path = tmp_path / "assignments.jsonl"
     write_assignments(str(path), run_pipeline(data.frames, data.streams))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TIED_SCENE_SHA256
+
+
+def test_scaling_scene_keeps_its_bytes(tmp_path):
+    """Twelve walkers, walker k striding at 0.6 + 1.8k/12 Hz with phase
+    0.7k on its own row at y = 60 + 400k/12, for 400 frames."""
+    n = 12
+    persons = tuple(
+        PersonSpec(f"p{k:02d}", 0.6 + 1.8 * k / n, phase=0.7 * k,
+                   path=((50.0, 60.0 + 400.0 * k / n), (590.0, 60.0 + 400.0 * k / n)))
+        for k in range(n)
+    )
+    data = generate(ScenarioConfig(persons=persons, duration=400 / 30.0, seed=1))
+    path = tmp_path / "assignments.jsonl"
+    write_assignments(str(path), run_pipeline(data.frames, data.streams))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCALING_SCENE_SHA256

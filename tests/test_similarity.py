@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from stridelink import pipeline
@@ -8,6 +9,7 @@ from stridelink.model import DetectionFrame
 from stridelink.similarity import (
     ExtremeStream,
     PairScorer,
+    SensorRow,
     SimilarityParams,
     TernarySequence,
     detect_extremes,
@@ -16,7 +18,7 @@ from stridelink.similarity import (
 from stridelink.simulator import generate
 
 from conftest import two_person_config
-from helpers import oracle_marks, oracle_sim
+from helpers import oracle_mark_cost, oracle_marks, oracle_sim
 
 
 def tern(length, **marks):
@@ -207,21 +209,19 @@ def test_streaming_matches_batch_on_random_interleavings():
         a_vals = [[rng.random() for _ in range(n_a)] for _ in range(k)]
         t_start, a_start = rng.randint(0, 40), rng.randint(0, 5)
         ts = ExtremeStream(params.d, t_start)
-        sensors = [ExtremeStream(params.d, a_start) for _ in range(k)]
-        scorer = PairScorer(ts, sensors, params)
+        row = SensorRow([f"s{m}" for m in range(k)], params, a_start)
+        scorer = PairScorer(ts, row)
         i = j = 0
         while i < n_t or j < n_a:
             if i < n_t and (j >= n_a or rng.random() < 0.5):
                 ts.push(t_vals[i])
                 i += 1
             else:
-                for stream, vals in zip(sensors, a_vals):
-                    stream.push(vals[j])
+                row.extend([[vals[j]] for vals in a_vals])
                 j += 1
             scorer.advance()
         ts.flush()
-        for stream in sensors:
-            stream.flush()
+        row.flush()
         scorer.advance()
         got = scorer.score()
         assert len(got) == k
@@ -233,10 +233,98 @@ def test_streaming_matches_batch_on_random_interleavings():
             assert score == expected
 
 
-def test_sensor_streams_off_one_grid_rejected():
-    trace = ExtremeStream(10, 4)
-    with pytest.raises(ValueError, match="one start frame"):
-        PairScorer(trace, [ExtremeStream(10, 0), ExtremeStream(10, 1)])
+def test_row_checks_its_ids_and_block_shape():
+    with pytest.raises(ValueError, match="sensor id 's0' given more than once"):
+        SensorRow(["s1", "s0", "s2", "s0", "s1"])
+    row = SensorRow(["s0", "s1"], start_frame=4)
+    for bad in ([1.0, 2.0], [[1.0], [2.0], [3.0]], np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError, match="for a row of 2 sensors"):
+            row.extend(bad)
+    assert row.length == 0
+    row.extend(np.zeros((2, 0)))
+    row.extend([[1.0, 2.0], [3.0, 4.0]])
+    assert row.length == 2
+    row.flush()
+    with pytest.raises(ValueError, match="row already flushed"):
+        row.extend([[1.0], [2.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_block_names_sensor_and_frame(bad):
+    row = SensorRow(["s0", "s1", "s2"], start_frame=10)
+    row.extend(np.ones((3, 4)))
+    block = np.ones((3, 6))
+    block[2, 1] = bad
+    block[1, 3] = bad
+    with pytest.raises(ValueError, match=f"sensor 's2': non-finite step feature {bad} at frame 15"):
+        row.extend(block)
+    assert row.length == 4
+
+
+def test_row_marks_and_costs_match_literal_rules():
+    """Marks against the literal extremum rule and every final cost
+    against the literal nearest-mark rule, over d of both parities, search
+    windows other than d, rows shorter than half a window, plateaus, and
+    blocks of random sizes, before and after the flush."""
+    rng = random.Random(909)
+    for case in range(400):
+        d = rng.randint(2, 12)
+        params = SimilarityParams(d=d, dif_window=rng.choice((None, rng.randint(1, 16))))
+        half, pad, penalty = (d + 1) // 2, params.dif_d, params.no_match_penalty
+        n = rng.randint(1, half) if case % 4 == 0 else rng.randint(half + 1, 120)
+        k = rng.randint(1, 4)
+        if case % 2:
+            values = [[float(round(rng.uniform(0, 3))) for _ in range(n)] for _ in range(k)]
+        else:
+            values = [[rng.random() for _ in range(n)] for _ in range(k)]
+        full = [oracle_marks(v, d) for v in values]
+        row = SensorRow([f"s{m}" for m in range(k)], params, rng.randint(0, 30))
+
+        def check():
+            for m in range(k):
+                assert row.marks[m].tolist() == full[m][:row.marked]
+                for sign in (1, -1):
+                    assert row.costs[sign][m, :row.costed].tolist() == [
+                        oracle_mark_cost(full[m], c - pad, sign, pad, penalty) for c in range(row.costed)]
+
+        j = 0
+        while j < n:
+            size = rng.choice((1, 1, rng.randint(1, n)))
+            row.extend(np.array(values)[:, j:j + size])
+            j = min(n, j + size)
+            assert (row.length, row.marked, row.costed) == (j, max(0, j - half), max(0, j - half))
+            assert row.finalized == row.marked
+            check()
+        row.flush()
+        assert (row.marked, row.costed, row.finalized) == (n, n + 2 * pad, math.inf)
+        check()
+        flushed_marks = SensorRow.from_marks(row.sensor_ids, full, params)
+        for sign in (1, -1):
+            assert np.array_equal(flushed_marks.costs[sign][:, :n + 2 * pad], row.costs[sign][:, :n + 2 * pad])
+
+
+def test_release_holds_folds_back_to_the_pushed_prefix():
+    """A row extended with a whole run and released frame by frame folds
+    each trace mark when a row extended frame by frame would."""
+    rng = random.Random(41)
+    params = SimilarityParams()
+    n = 200
+    a_vals = np.array([[rng.random() for _ in range(n)] for _ in range(3)])
+    t_vals = [rng.random() for _ in range(n - 7)]
+    whole, step = SensorRow(["a", "b", "c"], params), SensorRow(["a", "b", "c"], params)
+    whole.extend(a_vals)
+    ts_whole, ts_step = ExtremeStream(params.d, 7), ExtremeStream(params.d, 7)
+    s_whole, s_step = PairScorer(ts_whole, whole), PairScorer(ts_step, step)
+    for f in range(n):
+        whole.release(f + 1)
+        step.extend(a_vals[:, f:f + 1])
+        if f >= 7:
+            ts_whole.push(t_vals[f - 7])
+            ts_step.push(t_vals[f - 7])
+        s_whole.advance()
+        s_step.advance()
+        assert whole.finalized == step.finalized
+        assert (s_whole.n, s_whole.totals.tolist()) == (s_step.n, s_step.totals.tolist())
 
 
 def test_finalized_marks_are_a_prefix_of_batch_marks():
@@ -290,16 +378,18 @@ def test_matching_rhythm_outscores_mismatched():
 
 def scored_keys(monkeypatch, frames, streams):
     """The (trace, sensor) keys of every matrix run_pipeline pairs, by frame."""
-    keys = {}
+    keyed = []
     raw_pair = pipeline.raw_pair
 
     def spy(matrix):
-        keys[matrix.as_of_frame] = set(matrix.scores)
+        keyed.append(set(matrix.scores))
         return raw_pair(matrix)
 
     monkeypatch.setattr(pipeline, "raw_pair", spy)
     pipeline.run_pipeline(frames, streams, pipeline.PipelineParams(ts_gate=2.0))
-    return keys
+    # one raw pairing per frame, in frame order
+    assert len(keyed) == len(frames)
+    return {fr.frame_index: keys for fr, keys in zip(frames, keyed)}
 
 
 def test_full_matrix_when_everything_gated_in(monkeypatch):
