@@ -218,8 +218,8 @@ def cmd_match(args: argparse.Namespace) -> int:
     mc, frames, streams, truth = _load_match_inputs(cfg, args.config)
     params = _pipeline_params(mc)
     if args.ts is not None:
-        if args.ts <= 0:
-            raise CliError("--ts must be positive")
+        if not (math.isfinite(args.ts) and args.ts > 0):
+            raise CliError("--ts must be finite and positive")
         params = replace(params, ts_gate=args.ts)
     stages = _stage_list(args.stage)
 
@@ -268,8 +268,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ts_values = tuple(float(v) for v in args.ts.split(","))
     except ValueError as exc:
         raise CliError(f"--ts must be a comma-separated float list: {exc}") from exc
-    if not ts_values or any(v <= 0 for v in ts_values):
-        raise CliError("--ts gates must be positive")
+    if not ts_values or not all(math.isfinite(v) and v > 0 for v in ts_values):
+        raise CliError("--ts gates must be finite and positive")
 
     sensor_owners, box_owners = truth
     scenario = ScenarioData(tuple(frames), tuple(streams), sensor_owners, box_owners)

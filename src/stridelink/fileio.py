@@ -41,7 +41,15 @@ def write_detections(path: str, frames: Iterable[DetectionFrame]) -> None:
             fh.write("\n")
 
 
+# The Python types json.loads gives a JSON number; bool is not among them.
+_NUMBER = (int, float)
+_BOX_KEYS = ("cx", "cy", "w", "h")
+
+
 def read_detections(path: str) -> list[DetectionFrame]:
+    """Frames of a detection log. frame and ts_us must be JSON integers and
+    each box field a JSON number; a boolean is neither, and a rejection
+    names the line and the field."""
     frames: list[DetectionFrame] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -50,11 +58,19 @@ def read_detections(path: str) -> list[DetectionFrame]:
                 continue
             try:
                 rec = json.loads(line)
-                boxes = tuple(
-                    BoundingBox(float(b["cx"]), float(b["cy"]), float(b["w"]), float(b["h"]))
-                    for b in rec["boxes"]
-                )
-                frames.append(DetectionFrame(int(rec["frame"]), int(rec["ts_us"]), boxes))
+                for key in ("frame", "ts_us"):
+                    if type(rec[key]) is not int:
+                        raise TypeError(f"{key} must be an integer, got {json.dumps(rec[key])}")
+                boxes = []
+                for k, b in enumerate(rec["boxes"]):
+                    cx, cy, w, h = box = b["cx"], b["cy"], b["w"], b["h"]
+                    # spelled out: this runs once per box of the log
+                    if not (type(cx) in _NUMBER and type(cy) in _NUMBER and type(w) in _NUMBER
+                            and type(h) in _NUMBER):
+                        key = next(key for key, v in zip(_BOX_KEYS, box) if type(v) not in _NUMBER)
+                        raise TypeError(f"boxes[{k}].{key} must be a number, got {json.dumps(b[key])}")
+                    boxes.append(BoundingBox(float(cx), float(cy), float(w), float(h)))
+                frames.append(DetectionFrame(rec["frame"], rec["ts_us"], tuple(boxes)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return frames
@@ -161,11 +177,6 @@ def write_summary(path: str, summary: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_summary(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _fmt_rate(r: float) -> str:

@@ -7,10 +7,11 @@ frame, then score each gated trace against every sensor and solve both
 pairing stages.
 Both kinds of stream sit on one absolute frame grid: a frame index the
 log skips gets filled values in every stream, but no result of its own.
-Similarity is computed incrementally: each gated trace keeps one running
-scorer against the row of all sensors, which share one frame grid; it
-folds in the trace's extremums as their search windows finalize, so
-per-frame cost does not grow with elapsed time.
+Similarity is computed incrementally: each live trace has one record, a
+running scorer of its ratio stream against the row of all sensors, which
+share one frame grid. Once the trace is gated, the scorer folds in its
+extremums as their search windows finalize, so per-frame cost does not
+grow with elapsed time. A trace that dies loses its record.
 
 Sensor filtering, frame alignment, extremum marking and the table of
 what a trace mark costs against each sensor all happen up front, as
@@ -79,23 +80,14 @@ def interpolate_gap(prev_ratio: float, next_ratio: float, gap: int) -> list[floa
     return [prev_ratio + step * k for k in range(1, gap)]
 
 
-class _TraceStream:
-    """Ratio stream of one live trace: pushes the h/w of each sighting and
-    fills the frames between two linearly, which adds no extremum inside."""
-
-    def __init__(self, d: int, start_frame: int):
-        self.extremes = ExtremeStream(d, start_frame)
-        self.last_frame = start_frame - 1
-        self.last_ratio: float | None = None
-
-    def push(self, frame_index: int, ratio: float) -> None:
-        gap = frame_index - self.last_frame
-        if self.last_ratio is not None and gap > 1:
-            for r in interpolate_gap(self.last_ratio, ratio, gap):
-                self.extremes.push(r)
-        self.extremes.push(ratio)
-        self.last_frame = frame_index
-        self.last_ratio = ratio
+def _push_sighting(stream: ExtremeStream, frame_index: int, ratio: float) -> None:
+    """Push the h/w of a live trace's sighting, filling the frames since
+    its last one linearly, which adds no extremum inside."""
+    gap = frame_index - (stream.start_frame + len(stream)) + 1
+    if gap > 1:
+        for r in interpolate_gap(stream.last, ratio, gap):
+            stream.push(r)
+    stream.push(ratio)
 
 
 def run_pipeline(
@@ -114,14 +106,12 @@ def run_pipeline(
                       key=lambda feat: feat.sensor_id)
     sensor_ids = [feat.sensor_id for feat in features]
     # every sensor's features span the clock: one value per frame index
-    row = SensorRow(sensor_ids, params.similarity, frames[0].frame_index)
-    if features:
-        row.extend(np.stack([feat.values for feat in features]))
+    block = np.stack([feat.values for feat in features]) if features else np.empty((0, 0))
+    row = SensorRow.from_values(sensor_ids, block, params.similarity, frames[0].frame_index)
 
     gate = params.ts_gate * params.fps
     tracker = Tracker(params.tracer)
-    trace_streams: dict[str, _TraceStream] = {}
-    # trace id -> its scorer against every sensor
+    # live trace id -> its ratio stream's scorer against every sensor
     scorers: dict[str, PairScorer] = {}
     state = RefinedState()
     results: list[FrameResult] = []
@@ -131,16 +121,14 @@ def run_pipeline(
         box_traces = tracker.update(frame)
 
         for ordinal, trace_id in box_traces.items():
-            ts = trace_streams.get(trace_id)
-            if ts is None:
-                ts = trace_streams[trace_id] = _TraceStream(params.similarity.d, f)
-            ts.push(f, frame.boxes[ordinal].ratio)
+            scorer = scorers.get(trace_id)
+            if scorer is None:
+                scorer = scorers[trace_id] = PairScorer(ExtremeStream(params.similarity.d, f), row)
+            _push_sighting(scorer.t, f, frame.boxes[ordinal].ratio)
 
-        dead = [tid for tid in trace_streams if not tracker.traces[tid].active]
-        for tid in dead:
-            del trace_streams[tid]
+        for tid in [tid for tid in scorers if not tracker.traces[tid].active]:
+            del scorers[tid]
             state.retire_trace(tid)
-            scorers.pop(tid, None)
 
         pushed = f - row.start_frame + 1
         row.release(pushed)
@@ -148,13 +136,10 @@ def run_pipeline(
         trace_ids: list[str] = []
         rows: list[np.ndarray] = []
         if sensor_ids and pushed >= gate:
-            for tid in sorted(trace_streams):
-                tstream = trace_streams[tid]
-                if len(tstream.extremes) < gate:
+            for tid in sorted(scorers):
+                scorer = scorers[tid]
+                if len(scorer.t) < gate:
                     continue
-                scorer = scorers.get(tid)
-                if scorer is None:
-                    scorer = scorers[tid] = PairScorer(tstream.extremes, row)
                 scorer.advance()
                 trace_ids.append(tid)
                 rows.append(scorer.score())

@@ -20,14 +20,15 @@ trace's marks.
 
 The two sides are held differently. A trace gets one ratio per frame, so
 its marks come from an `ExtremeStream` fed one value at a time. The
-sensors' step features arrive as one block: a `SensorRow` holds every
-sensor on one frame grid as arrays, marks them all at once, and tables the
-cost a trace mark of either sign would pay at each position, so that cost
-is worked out once per (sensor, position) rather than once per trace.
-`PairScorer` folds each trace mark into its running totals against the
-whole row with one vector add, and only once the mark's search window can
-no longer change; earlier terms are immutable, which keeps per-frame cost
-constant. `sim` runs the same engine on a flushed one-sensor row.
+sensors' step features arrive as one block: `SensorRow.from_values` marks
+every sensor on one frame grid at once (`mark_extremes`), and the row
+tables the cost a trace mark of either sign would pay at each position, so
+that cost is worked out once per (sensor, position) rather than once per
+trace. `PairScorer` folds each trace mark into its running totals against
+the whole row with one vector add, and only once the row has released
+every mark in the trace mark's search window; earlier terms are
+immutable, which keeps per-frame cost constant. `sim` runs the same engine
+on a one-sensor row built from its marks.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def sim(t: TernarySequence, a: TernarySequence, params: SimilarityParams = Simil
     """
     trace = ExtremeStream(params.d, t.start_frame)
     trace.marks = list(t.values)
-    scorer = PairScorer(trace, SensorRow.from_marks(["a"], [a.values], params, a.start_frame))
+    scorer = PairScorer(trace, SensorRow(["a"], [a.values], params, a.start_frame))
     scorer.advance()
     return float(scorer.score()[0])
 
@@ -174,6 +175,11 @@ class ExtremeStream:
     def __len__(self) -> int:
         return len(self._values)
 
+    @property
+    def last(self) -> float:
+        """The value pushed last."""
+        return self._values[-1]
+
     def push(self, value: float) -> None:
         if self.flushed:
             raise ValueError("stream already flushed")
@@ -190,31 +196,42 @@ class ExtremeStream:
         self.flushed = True
 
 
+def mark_extremes(values: np.ndarray, d: int) -> np.ndarray:
+    """Ternary marks of an (S, N) block, row by row, by `detect_extremes`'s
+    rule: each position is compared with its neighbors one shift at a
+    time, and a neighbor past either end of the row does not count."""
+    n = values.shape[1]
+    is_max = np.ones(values.shape, dtype=bool)
+    is_min = is_max.copy()
+    for k in range(1, min((d + 1) // 2, n - 1) + 1):
+        left, right = values[:, :n - k], values[:, k:]
+        is_max[:, :n - k] &= left > right
+        is_min[:, :n - k] &= left < right
+        is_max[:, k:] &= right > left
+        is_min[:, k:] &= right < left
+    # with no neighbor at all both hold, and the difference is 0
+    return is_max.view(np.int8) - is_min.view(np.int8)
+
+
 class SensorRow:
-    """Step features of S sensors on one frame grid, held as arrays.
+    """What a trace mark costs against the final ternary marks of S
+    sensors on one frame grid, given as an (S, N) array in sensor_ids
+    order and tabled in one pass.
 
-    `extend` appends an (S, m) block of values. Position x (frame
-    start_frame + x) gets its mark once values through x + half exist, and
-    `flush` marks the rest with truncated windows, as `ExtremeStream` does;
-    `marks` is the (S, marked) array of final marks.
-
-    costs[+1] and costs[-1] are (S, columns) float64 tables: the entry in
-    column p + pad, pad = dif_d, is the distance from position p to the
-    nearest same-sign mark within dif_d, or the no-match penalty when there
-    is none. A column is final once every mark within dif_d of it is, so
-    the first `costed` columns are final: through position marked - pad - 1
-    while the row is open, and out to position length + pad - 1, past which
-    every cost is the penalty, once it is flushed. The tables start pad
+    costs[+1] and costs[-1] are (S, N + 2 * pad) float64 tables, pad =
+    dif_d: the entry in column p + pad is the distance from position p
+    (frame start_frame + p) to the nearest same-sign mark within dif_d, or
+    the no-match penalty when there is none. The tables start pad
     positions before the row so that a trace starting earlier gets the
-    same truncated-window costs.
+    same truncated-window costs; past their end every cost is the penalty.
 
-    `finalized` counts the marks a `PairScorer` may fold against (math.inf
-    once flushed). It equals `marked` after each `extend`; `release` lowers
-    it to what fewer pushed values would finalize, so that a caller can
-    extend with a whole run's block up front and still fold frame by frame.
+    `finalized` counts the marks a `PairScorer` may fold against, math.inf
+    for all of them. `release` lowers it to what the first values alone
+    would finalize, so that a caller can build the row from a whole run's
+    block up front and still fold frame by frame.
     """
 
-    def __init__(self, sensor_ids: Sequence[str], params: SimilarityParams = SimilarityParams(),
+    def __init__(self, sensor_ids: Sequence[str], marks, params: SimilarityParams = SimilarityParams(),
                  start_frame: int = 0):
         self.sensor_ids = tuple(sensor_ids)
         repeated = sorted({sid for sid in self.sensor_ids if self.sensor_ids.count(sid) > 1})
@@ -223,134 +240,54 @@ class SensorRow:
         self.params = params
         self.start_frame = start_frame
         self.half = (params.d + 1) // 2
-        self.pad = params.dif_d
-        self.length = 0
-        self.marked = 0
-        self.costed = 0
-        self.finalized: float = 0
-        self.flushed = False
-        self._values = np.empty((len(self.sensor_ids), 0))
-        self._marks = np.zeros((len(self.sensor_ids), 2 * self.pad), dtype=np.int8)
-        self.costs = {sign: np.full(self._marks.shape, params.no_match_penalty) for sign in (1, -1)}
+        self.pad = pad = params.dif_d
+        self.finalized: float = math.inf
+        marks = np.asarray(marks, dtype=np.int8)
+        width = marks.shape[1] + 2 * pad
+        self.costs = {}
+        for sign in (1, -1):
+            hit = np.zeros((len(self.sensor_ids), width), dtype=bool)
+            hit[:, pad:width - pad] = marks == sign
+            table = np.full(hit.shape, params.no_match_penalty)
+            # nearest last, so that it wins
+            for dist in range(pad, -1, -1):
+                for shift in {-dist, dist}:
+                    a, b = max(0, -shift), min(width, width - shift)
+                    np.copyto(table[:, a:b], float(dist), where=hit[:, a + shift:b + shift])
+            self.costs[sign] = table
 
     @classmethod
-    def from_marks(cls, sensor_ids: Sequence[str], marks, params: SimilarityParams = SimilarityParams(),
-                   start_frame: int = 0) -> SensorRow:
-        """A flushed row holding the given (S, N) ternary marks."""
-        row = cls(sensor_ids, params, start_frame)
-        marks = np.asarray(marks, dtype=np.int8).reshape(len(row.sensor_ids), -1)
-        row._grow(marks.shape[1])
-        row._marks[:, row.pad:row.pad + marks.shape[1]] = marks
-        row.length = row.marked = marks.shape[1]
-        row.flush()
-        return row
-
-    @property
-    def marks(self) -> np.ndarray:
-        return self._marks[:, self.pad:self.pad + self.marked]
-
-    def extend(self, block) -> None:
-        """Append one value per sensor and frame: block is (S, m), rows in
-        sensor_ids order."""
-        if self.flushed:
-            raise ValueError("row already flushed")
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim != 2 or block.shape[0] != len(self.sensor_ids):
-            raise ValueError(f"block of shape {block.shape} for a row of {len(self.sensor_ids)} sensors")
-        bad = ~np.isfinite(block)
+    def from_values(cls, sensor_ids: Sequence[str], values, params: SimilarityParams = SimilarityParams(),
+                    start_frame: int = 0) -> SensorRow:
+        """The row of an (S, N) block of step features, rows in sensor_ids
+        order, marked with windows truncated at both ends."""
+        sensor_ids = tuple(sensor_ids)
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[0] != len(sensor_ids):
+            raise ValueError(f"block of shape {values.shape} for a row of {len(sensor_ids)} sensors")
+        bad = ~np.isfinite(values)
         if bad.any():
             col = int(bad.any(axis=0).argmax())
             k = int(bad[:, col].argmax())
-            raise ValueError(f"sensor {self.sensor_ids[k]!r}: non-finite step feature {block[k, col]} "
-                             f"at frame {self.start_frame + self.length + col}")
-        self._grow(block.shape[1])
-        self._values[:, self.length:self.length + block.shape[1]] = block
-        self.length += block.shape[1]
-        self._mark_through(self.length - self.half)
-        self._cost_through(self.marked)
-        self.finalized = self.marked
-
-    def flush(self) -> None:
-        """Mark the last positions with truncated windows; every cost is
-        then final."""
-        self._mark_through(self.length)
-        self._cost_through(self.length + 2 * self.pad)
-        self.finalized = math.inf
-        self.flushed = True
+            raise ValueError(f"sensor {sensor_ids[k]!r}: non-finite step feature {values[k, col]} "
+                             f"at frame {start_frame + col}")
+        return cls(sensor_ids, mark_extremes(values, params.d), params, start_frame)
 
     def release(self, length: int) -> None:
         """Let scorers fold only against the marks the first `length`
         values finalize, as if the rest were not pushed yet."""
-        self.finalized = min(self.marked, max(0, length - self.half))
-
-    def _grow(self, m: int) -> None:
-        cap = self._values.shape[1]
-        if self.length + m <= cap:
-            return
-        cap = max(self.length + m, 2 * cap)
-        values = np.empty((len(self.sensor_ids), cap))
-        values[:, :self.length] = self._values[:, :self.length]
-        self._values = values
-        marks = np.zeros((len(self.sensor_ids), cap + 2 * self.pad), dtype=np.int8)
-        marks[:, :self._marks.shape[1]] = self._marks
-        self._marks = marks
-        for sign, table in self.costs.items():
-            grown = np.full(marks.shape, self.params.no_match_penalty)
-            grown[:, :self.costed] = table[:, :self.costed]
-            self.costs[sign] = grown
-
-    def _mark_through(self, x1: int) -> None:
-        """Mark positions marked..x1-1, comparing each with its neighbors
-        one shift at a time; a neighbor past the values held does not
-        count, which truncates the window at either edge."""
-        x0, end, half = self.marked, self.length, self.half
-        if x1 <= x0:
-            return
-        lo = max(0, x0 - half)
-        seg = self._values[:, lo:min(end, x1 + half)]
-        is_max = np.ones((len(self.sensor_ids), x1 - x0), dtype=bool)
-        is_min = is_max.copy()
-        for k in range(1, half + 1):
-            for shift in (-k, k):
-                a, b = max(x0, -shift), min(x1, end - shift)
-                if a >= b:
-                    continue
-                v = seg[:, a - lo:b - lo]
-                w = seg[:, a + shift - lo:b + shift - lo]
-                is_max[:, a - x0:b - x0] &= v > w
-                is_min[:, a - x0:b - x0] &= v < w
-        # with no neighbor at all both hold, and the difference is 0
-        self._marks[:, self.pad + x0:self.pad + x1] = is_max.view(np.int8) - is_min.view(np.int8)
-        self.marked = x1
-
-    def _cost_through(self, c1: int) -> None:
-        """Fill cost columns costed..c1-1 from the marks within pad of
-        each, nearest last so that it wins."""
-        c0, pad = self.costed, self.pad
-        if c1 <= c0:
-            return
-        lo = max(0, c0 - pad)
-        seg = self._marks[:, lo:c1 + pad]
-        for sign, table in self.costs.items():
-            hit = seg == sign
-            out = table[:, c0:c1]
-            for dist in range(pad, -1, -1):
-                for shift in {-dist, dist}:
-                    a, b = max(c0, lo - shift), min(c1, lo + hit.shape[1] - shift)
-                    if a < b:
-                        np.copyto(out[:, a - c0:b - c0], float(dist), where=hit[:, a + shift - lo:b + shift - lo])
-        self.costed = c1
+        self.finalized = max(0, length - self.half)
 
 
 class PairScorer:
     """Running similarity of one trace stream against a `SensorRow`.
 
     A trace mark at frame f is folded in, against every sensor at once,
-    once the row's marks through f + dif_d are final (or the row is
-    flushed), so every folded term is immutable. The mark count n is
-    shared; totals[k] sums sensor k's costs in mark order. Once the row is
-    flushed and the trace's marks are all in, score()[k] is the sim() of
-    the trace's marks against sensor k's.
+    once the row's marks through f + dif_d are released, so every folded
+    term is immutable. The mark count n is shared; totals[k] sums sensor
+    k's costs in mark order. Once every mark of the row is released and
+    the trace's marks are all in, score()[k] is the sim() of the trace's
+    marks against sensor k's.
     """
 
     def __init__(self, trace_stream: ExtremeStream, row: SensorRow):
@@ -371,12 +308,13 @@ class PairScorer:
             return
         n = self.n
         totals = self.totals
+        width = row.costs[1].shape[1]
         for x in range(self._next, ready + 1):
             mark = t_marks[x]
             if mark != 0:
                 n += 1
                 col = x + self._col0
-                if 0 <= col < row.costed:
+                if 0 <= col < width:
                     totals += row.costs[mark][:, col]
                 else:  # out of reach of every mark of the row
                     totals += row.params.no_match_penalty

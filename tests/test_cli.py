@@ -4,7 +4,6 @@ import math
 import pytest
 
 from stridelink.cli import main
-from stridelink.fileio import read_summary
 
 SCENARIO = {
     "persons": [
@@ -70,7 +69,7 @@ def test_match_reports_both_stages(tmp_path, capsys):
     cfg = simulated(tmp_path)
     res = tmp_path / "res"
     assert main(["match", "--config", cfg, "--out", str(res)]) == 0
-    summary = read_summary(str(res / "summary.json"))
+    summary = json.loads((res / "summary.json").read_text())
     assert summary["frames"] == 240
     assert summary["sensors"] == 2
     assert set(summary["r_cd"]) == {"raw", "refined"}
@@ -86,7 +85,7 @@ def test_match_without_truth_omits_the_rate(tmp_path):
     )
     res = tmp_path / "res"
     assert main(["match", "--config", cfg, "--out", str(res)]) == 0
-    assert "r_cd" not in read_summary(str(res / "summary.json"))
+    assert "r_cd" not in json.loads((res / "summary.json").read_text())
 
 
 def test_stage_option_filters_output(tmp_path):
@@ -96,14 +95,14 @@ def test_stage_option_filters_output(tmp_path):
     lines = (res / "assignments.jsonl").read_text().splitlines()
     assert len(lines) == 240
     assert all(json.loads(l)["stage"] == "raw" for l in lines)
-    assert read_summary(str(res / "summary.json"))["stages"] == ["raw"]
+    assert json.loads((res / "summary.json").read_text())["stages"] == ["raw"]
 
 
 def test_ts_option_overrides_the_gate(tmp_path):
     cfg = simulated(tmp_path)
     res = tmp_path / "res"
     assert main(["match", "--config", cfg, "--out", str(res), "--ts", "1.0"]) == 0
-    assert read_summary(str(res / "summary.json"))["ts_gate"] == 1.0
+    assert json.loads((res / "summary.json").read_text())["ts_gate"] == 1.0
 
 
 def test_sweep_writes_csv_and_table(tmp_path, capsys):
@@ -171,6 +170,21 @@ def test_sweep_rejects_bad_gate_lists(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", res, "--ts", "0,1"]) == 1
     assert main(["match", "--config", cfg, "--out", res, "--ts", "-1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, ts, message", [
+    ("match", "nan", "--ts must be finite and positive"),
+    ("match", "inf", "--ts must be finite and positive"),
+    ("match", "-inf", "--ts must be finite and positive"),
+    ("sweep", "1,nan", "--ts gates must be finite and positive"),
+    ("sweep", "inf,2", "--ts gates must be finite and positive"),
+])
+def test_non_finite_gates_rejected(tmp_path, capsys, command, ts, message):
+    cfg = simulated(tmp_path)
+    res = tmp_path / "res"
+    assert main([command, "--config", cfg, "--out", str(res), f"--ts={ts}"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not res.exists()
 
 
 def test_unknown_config_keys_rejected(tmp_path, capsys):
@@ -343,4 +357,4 @@ def test_missing_frame_index_is_skipped(tmp_path):
     frames = [r["frame"] for r in records if r["stage"] == "refined"]
     assert frames == [f for f in range(600) if f != 100]
     assert records[-1]["pairs"] == [["t0000", "p0-acc"], ["t0001", "p1-acc"]]
-    assert read_summary(str(res / "summary.json"))["r_cd"]["refined"] > 0.9
+    assert json.loads((res / "summary.json").read_text())["r_cd"]["refined"] > 0.9

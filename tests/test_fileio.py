@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from stridelink.fileio import (
     format_sweep_table,
     read_detections,
     read_sensor_csv,
-    read_summary,
     read_truth,
     write_assignments,
     write_detections,
@@ -69,6 +70,33 @@ def test_malformed_detection_line_named_with_position(tmp_path):
     )
     with pytest.raises(FormatError, match=r"bad\.jsonl:2"):
         read_detections(str(path))
+
+
+@pytest.mark.parametrize("record, message", [
+    ('{"frame":1.7,"ts_us":0,"boxes":[]}', "frame must be an integer, got 1.7"),
+    ('{"frame":true,"ts_us":0,"boxes":[]}', "frame must be an integer, got true"),
+    ('{"frame":1,"ts_us":"33333","boxes":[]}', 'ts_us must be an integer, got "33333"'),
+    ('{"frame":1,"ts_us":33333.0,"boxes":[]}', "ts_us must be an integer, got 33333.0"),
+    ('{"frame":1,"ts_us":0,"boxes":[{"cx":1,"cy":2,"w":3,"h":4},{"cx":true,"cy":2,"w":3,"h":4}]}',
+     "boxes[1].cx must be a number, got true"),
+    ('{"frame":1,"ts_us":0,"boxes":[{"cx":1,"cy":2,"w":"3","h":4}]}', 'boxes[0].w must be a number, got "3"'),
+    ('{"frame":1,"ts_us":0,"boxes":[{"cx":1,"cy":2,"w":3,"h":null}]}', "boxes[0].h must be a number, got null"),
+])
+def test_detection_field_of_wrong_type_named_with_position(tmp_path, record, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"frame":0,"ts_us":0,"boxes":[]}\n' + record + "\n")
+    with pytest.raises(FormatError, match=rf"bad\.jsonl:2: {re.escape(message)}$"):
+        read_detections(str(path))
+
+
+def test_integer_box_fields_read_as_floats(tmp_path):
+    path = tmp_path / "ints.jsonl"
+    path.write_text('{"frame":3,"ts_us":100000,"boxes":[{"cx":10,"cy":20,"w":30,"h":60.5}]}\n')
+    (frame,) = read_detections(str(path))
+    assert (frame.frame_index, frame.timestamp) == (3, 100000)
+    box = frame.boxes[0]
+    assert [type(v) for v in (box.cx, box.cy, box.w, box.h)] == [float] * 4
+    assert (box.cx, box.cy, box.w, box.h) == (10.0, 20.0, 30.0, 60.5)
 
 
 def test_wrong_csv_header_rejected(tmp_path):
@@ -154,7 +182,8 @@ def test_summary_round_trip(tmp_path):
     path = str(tmp_path / "summary.json")
     payload = {"frames": 90, "r_cd": {"raw": 0.5, "refined": 1.0}}
     write_summary(path, payload)
-    assert read_summary(path) == payload
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == payload
 
 
 def test_sweep_csv_layout(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from stridelink import pipeline
 from stridelink.fileio import write_assignments
 from stridelink.model import BoundingBox, DetectionFrame, SensorStream
-from stridelink.pipeline import PipelineParams, _TraceStream, run_pipeline
+from stridelink.pipeline import PipelineParams, _push_sighting, run_pipeline
+from stridelink.similarity import ExtremeStream
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 
 from conftest import two_person_config
@@ -24,12 +25,12 @@ def test_live_stream_fills_gaps_like_the_batch_path():
     )
     batch = oracle_ratios([(f, b.ratio) for f, b in entries])
 
-    stream = _TraceStream(d=10, start_frame=3)
+    stream = ExtremeStream(10, start_frame=3)
     for f, b in entries:
-        stream.push(f, b.ratio)
-    assert len(stream.extremes) == len(batch)
-    stream.extremes.flush()
-    assert stream.extremes.marks == oracle_marks(batch, 10)
+        _push_sighting(stream, f, b.ratio)
+    assert len(stream) == len(batch)
+    stream.flush()
+    assert stream.marks == oracle_marks(batch, 10)
 
 
 def test_empty_input_yields_empty_run():
@@ -156,6 +157,40 @@ def test_sensor_values_never_pushed_one_at_a_time(monkeypatch):
     spans = [t.entries[-1][0] - t.start_frame + 1 for t in run.traces.values()]
     assert sum(spans) > sum(len(t.entries) for t in run.traces.values())  # some gaps were filled
     assert len(pushes) == sum(spans)
+
+
+def test_a_frame_never_sees_later_frames(monkeypatch):
+    """Cutting the log after any frame leaves every earlier result and
+    score as it was: the sensor row is built from the whole run up front,
+    but a frame folds only what the frames through it finalize. Six
+    walkers in 60 px boxes with dropouts fragment traces, so births and
+    deaths are cut too."""
+    persons = tuple(
+        PersonSpec(f"p{k}", 0.6 + 0.3 * k, phase=0.7 * k, box_height=60.0,
+                   path=((50.0, 60.0 + 70.0 * k), (590.0, 60.0 + 70.0 * k)))
+        for k in range(6)
+    )
+    data = generate(ScenarioConfig(persons=persons, duration=240 / 30.0, dropout_prob=0.1, seed=5))
+    scores = []
+    raw_pair = pipeline.raw_pair
+
+    def spy(matrix):
+        scores.append((matrix.trace_ids, matrix.values.tolist()))
+        return raw_pair(matrix)
+
+    monkeypatch.setattr(pipeline, "raw_pair", spy)
+    params = PipelineParams()
+    full = run_pipeline(data.frames, data.streams, params).frames
+    full_scores = list(scores)
+    assert len(full) == len(data.frames) == 240
+    assert any(fr.raw.pairs for fr in full)
+    half = (params.similarity.d + 1) // 2
+    gate = int(params.ts_gate * params.fps)
+    cuts = {1, half - 1, half, half + 1, gate - 1, gate, gate + 1, gate + half, *range(gate, 241, 7), 240}
+    for k in sorted(cuts):
+        scores.clear()
+        assert run_pipeline(data.frames[:k], data.streams, params).frames == full[:k], k
+        assert scores == full_scores[:k], k
 
 
 def test_non_finite_sensor_feature_named_before_any_frame(monkeypatch):

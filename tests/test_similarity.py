@@ -13,6 +13,7 @@ from stridelink.similarity import (
     SimilarityParams,
     TernarySequence,
     detect_extremes,
+    mark_extremes,
     sim,
 )
 from stridelink.simulator import generate
@@ -209,7 +210,8 @@ def test_streaming_matches_batch_on_random_interleavings():
         a_vals = [[rng.random() for _ in range(n_a)] for _ in range(k)]
         t_start, a_start = rng.randint(0, 40), rng.randint(0, 5)
         ts = ExtremeStream(params.d, t_start)
-        row = SensorRow([f"s{m}" for m in range(k)], params, a_start)
+        row = SensorRow.from_values([f"s{m}" for m in range(k)], a_vals, params, a_start)
+        row.release(0)
         scorer = PairScorer(ts, row)
         i = j = 0
         while i < n_t or j < n_a:
@@ -217,11 +219,11 @@ def test_streaming_matches_batch_on_random_interleavings():
                 ts.push(t_vals[i])
                 i += 1
             else:
-                row.extend([[vals[j]] for vals in a_vals])
                 j += 1
+                row.release(j)
             scorer.advance()
         ts.flush()
-        row.flush()
+        row.finalized = math.inf  # every mark, the edge-truncated last ones too
         scorer.advance()
         got = scorer.score()
         assert len(got) == k
@@ -235,37 +237,29 @@ def test_streaming_matches_batch_on_random_interleavings():
 
 def test_row_checks_its_ids_and_block_shape():
     with pytest.raises(ValueError, match="sensor id 's0' given more than once"):
-        SensorRow(["s1", "s0", "s2", "s0", "s1"])
-    row = SensorRow(["s0", "s1"], start_frame=4)
+        SensorRow.from_values(["s1", "s0", "s2", "s0", "s1"], np.zeros((5, 3)))
     for bad in ([1.0, 2.0], [[1.0], [2.0], [3.0]], np.zeros((2, 1, 1))):
         with pytest.raises(ValueError, match="for a row of 2 sensors"):
-            row.extend(bad)
-    assert row.length == 0
-    row.extend(np.zeros((2, 0)))
-    row.extend([[1.0, 2.0], [3.0, 4.0]])
-    assert row.length == 2
-    row.flush()
-    with pytest.raises(ValueError, match="row already flushed"):
-        row.extend([[1.0], [2.0]])
+            SensorRow.from_values(["s0", "s1"], bad, start_frame=4)
+    pad = SimilarityParams().dif_d
+    assert SensorRow.from_values(["s0", "s1"], np.zeros((2, 0))).costs[1].shape == (2, 2 * pad)
+    row = SensorRow.from_values(["s0", "s1"], [[1.0, 2.0], [3.0, 4.0]], start_frame=4)
+    assert row.costs[1].shape == row.costs[-1].shape == (2, 2 + 2 * pad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_block_names_sensor_and_frame(bad):
-    row = SensorRow(["s0", "s1", "s2"], start_frame=10)
-    row.extend(np.ones((3, 4)))
-    block = np.ones((3, 6))
-    block[2, 1] = bad
-    block[1, 3] = bad
+    block = np.ones((3, 10))
+    block[2, 5] = bad
+    block[1, 7] = bad
     with pytest.raises(ValueError, match=f"sensor 's2': non-finite step feature {bad} at frame 15"):
-        row.extend(block)
-    assert row.length == 4
+        SensorRow.from_values(["s0", "s1", "s2"], block, start_frame=10)
 
 
 def test_row_marks_and_costs_match_literal_rules():
-    """Marks against the literal extremum rule and every final cost
-    against the literal nearest-mark rule, over d of both parities, search
-    windows other than d, rows shorter than half a window, plateaus, and
-    blocks of random sizes, before and after the flush."""
+    """Marks against the literal extremum rule and every cost against the
+    literal nearest-mark rule, over d of both parities, search windows
+    other than d, rows shorter than half a window, and plateaus."""
     rng = random.Random(909)
     for case in range(400):
         d = rng.randint(2, 12)
@@ -278,53 +272,46 @@ def test_row_marks_and_costs_match_literal_rules():
         else:
             values = [[rng.random() for _ in range(n)] for _ in range(k)]
         full = [oracle_marks(v, d) for v in values]
-        row = SensorRow([f"s{m}" for m in range(k)], params, rng.randint(0, 30))
-
-        def check():
-            for m in range(k):
-                assert row.marks[m].tolist() == full[m][:row.marked]
-                for sign in (1, -1):
-                    assert row.costs[sign][m, :row.costed].tolist() == [
-                        oracle_mark_cost(full[m], c - pad, sign, pad, penalty) for c in range(row.costed)]
-
-        j = 0
-        while j < n:
-            size = rng.choice((1, 1, rng.randint(1, n)))
-            row.extend(np.array(values)[:, j:j + size])
-            j = min(n, j + size)
-            assert (row.length, row.marked, row.costed) == (j, max(0, j - half), max(0, j - half))
-            assert row.finalized == row.marked
-            check()
-        row.flush()
-        assert (row.marked, row.costed, row.finalized) == (n, n + 2 * pad, math.inf)
-        check()
-        flushed_marks = SensorRow.from_marks(row.sensor_ids, full, params)
-        for sign in (1, -1):
-            assert np.array_equal(flushed_marks.costs[sign][:, :n + 2 * pad], row.costs[sign][:, :n + 2 * pad])
+        marks = mark_extremes(np.array(values), d)
+        assert marks.dtype == np.int8
+        assert marks.tolist() == full
+        row = SensorRow.from_values([f"s{m}" for m in range(k)], values, params, rng.randint(0, 30))
+        assert row.finalized == math.inf
+        for m in range(k):
+            for sign in (1, -1):
+                assert row.costs[sign][m].tolist() == [
+                    oracle_mark_cost(full[m], c - pad, sign, pad, penalty) for c in range(n + 2 * pad)]
 
 
 def test_release_holds_folds_back_to_the_pushed_prefix():
-    """A row extended with a whole run and released frame by frame folds
-    each trace mark when a row extended frame by frame would."""
+    """A row built from a whole run and released frame by frame lets
+    scorers use as many marks as a stream fed the same values has
+    finalized, and folds each trace mark as a row built from only the
+    values pushed so far would."""
     rng = random.Random(41)
     params = SimilarityParams()
     n = 200
     a_vals = np.array([[rng.random() for _ in range(n)] for _ in range(3)])
     t_vals = [rng.random() for _ in range(n - 7)]
-    whole, step = SensorRow(["a", "b", "c"], params), SensorRow(["a", "b", "c"], params)
-    whole.extend(a_vals)
-    ts_whole, ts_step = ExtremeStream(params.d, 7), ExtremeStream(params.d, 7)
-    s_whole, s_step = PairScorer(ts_whole, whole), PairScorer(ts_step, step)
+    whole = SensorRow.from_values(["a", "b", "c"], a_vals, params)
+    a_stream = ExtremeStream(params.d)
+    ts_whole = ExtremeStream(params.d, 7)
+    s_whole = PairScorer(ts_whole, whole)
     for f in range(n):
         whole.release(f + 1)
-        step.extend(a_vals[:, f:f + 1])
+        a_stream.push(a_vals[0, f])
+        assert whole.finalized == len(a_stream.marks)
         if f >= 7:
             ts_whole.push(t_vals[f - 7])
-            ts_step.push(t_vals[f - 7])
         s_whole.advance()
-        s_step.advance()
-        assert whole.finalized == step.finalized
-        assert (s_whole.n, s_whole.totals.tolist()) == (s_step.n, s_step.totals.tolist())
+        prefix = SensorRow.from_values(["a", "b", "c"], a_vals[:, :f + 1], params)
+        prefix.release(f + 1)
+        ts_prefix = ExtremeStream(params.d, 7)
+        for v in t_vals[:len(ts_whole)]:
+            ts_prefix.push(v)
+        s_prefix = PairScorer(ts_prefix, prefix)
+        s_prefix.advance()
+        assert (s_whole.n, s_whole.totals.tolist()) == (s_prefix.n, s_prefix.totals.tolist())
 
 
 def test_finalized_marks_are_a_prefix_of_batch_marks():

@@ -1,8 +1,9 @@
-"""The video feature: a live trace's ratio stream (`pipeline._TraceStream`),
-checked against the literal fill rule in helpers.oracle_ratios."""
+"""The video feature: a live trace's ratio stream, as `pipeline._push_sighting`
+fills it, checked against the literal fill rule in helpers.oracle_ratios."""
 
 from stridelink.model import BoundingBox
-from stridelink.pipeline import _TraceStream, interpolate_gap
+from stridelink.pipeline import _push_sighting, interpolate_gap
+from stridelink.similarity import ExtremeStream
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 from stridelink.tracer import Tracker
 
@@ -12,25 +13,25 @@ from helpers import oracle_marks, oracle_ratios
 def live(sightings, d=10):
     """The ratio stream of these (frame, h/w) sightings, flushed, and every
     value it pushed to its extremum stream."""
-    stream = _TraceStream(d, sightings[0][0])
+    stream = ExtremeStream(d, sightings[0][0])
     pushed = []
-    push = stream.extremes.push
+    push = stream.push
 
     def record(value):
         pushed.append(value)
         push(value)
 
-    stream.extremes.push = record
+    stream.push = record
     for f, r in sightings:
-        stream.push(f, r)
-    stream.extremes.flush()
+        _push_sighting(stream, f, r)
+    stream.flush()
     return stream, pushed
 
 
 def test_single_entry_ratio():
     stream, pushed = live([(0, BoundingBox(0, 0, 50, 100).ratio)])
     assert pushed == [2.0] == oracle_ratios([(0, 2.0)])
-    assert stream.extremes.start_frame == 0
+    assert stream.start_frame == 0
 
 
 def test_gap_filled_linearly():
@@ -49,8 +50,8 @@ def test_length_covers_full_span():
         (15, BoundingBox(0, 0, 50, 110).ratio),
     ]
     stream, pushed = live(sightings)
-    assert len(stream.extremes) == 15 - 10 + 1
-    assert stream.extremes.start_frame == 10
+    assert len(stream) == 15 - 10 + 1
+    assert stream.start_frame == 10
     assert pushed == oracle_ratios(sightings)
 
 
@@ -67,7 +68,7 @@ def test_scaling_ratios_keeps_extremum_marks():
     plain, pushed = live(sightings)
     scaled, _ = live([(f, 3.7 * r) for f, r in sightings])
     assert pushed == oracle_ratios(sightings)
-    assert plain.extremes.marks == scaled.extremes.marks == oracle_marks(pushed, 10)
+    assert plain.marks == scaled.marks == oracle_marks(pushed, 10)
 
 
 def test_noise_free_walker_trace_peaks_once_per_step():
@@ -86,5 +87,5 @@ def test_noise_free_walker_trace_peaks_once_per_step():
     sightings = [(f, box.ratio) for f, box in trace.entries]
     stream, pushed = live(sightings)
     assert pushed == oracle_ratios(sightings)
-    maxima = sum(1 for v in stream.extremes.marks if v == 1)
+    maxima = sum(1 for v in stream.marks if v == 1)
     assert 5 <= maxima <= 7
