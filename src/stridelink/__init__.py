@@ -42,7 +42,6 @@ from .pairing import (
     RefinedState,
     raw_pair,
     refined_pair,
-    solve_lsap,
     solve_matrix,
     update_rsim,
 )

@@ -39,12 +39,43 @@ eps / 2, that is at most best - 1.5 eps, and the base's positive pairs
 are returned at once. Otherwise (a real near-tie) the walk goes on as
 above. The certificate is a proof, so it changes no result, only how
 many solves it takes.
+
+The refined stage keeps its counts from frame to frame, and most frames
+add only to the pairs it already holds, so it skips the solve when the
+answer provably stands. This is the exact special case of the dynamic
+Hungarian algorithm (Mills-Tettey, Stentz and Dias 2007) for weights
+that grow only on the held matching. Let M be the pairing a solve
+returned, with a gap bound g: every matching holding a positive pair
+outside M lies at least g below M's total. Suppose that since then every
+raw pair fell in M and no trace holding counts retired. Then the rows,
+the columns and the set of positive pairs are unchanged, and only pairs
+of M gained weight. The solve sets g in one of three ways.
+
+- The certificate held: g = best - (L + (k - 1) delta), the bound shown
+  above. A matching N holding a positive pair outside M shares a row or a
+  column with a positive pair of M (the certificate ruled out the rest,
+  and no pair became positive since), so N lacks a pair of M and gains at
+  most what M gains: g never shrinks. While g > 1.5 eps for the current
+  total's eps, the argument above applies with that eps: M is an
+  optimum, no column outside M passes a check, and each column of M is
+  met on the base or passes its check, so the walk returns M.
+- The walk returned without needing the optimal total: every row took
+  its first positive free column, so M is the lexicographically smallest
+  of all matchings, and, as the solver's base, an optimum. Any other
+  matching gains at most what M gains, so M stays optimal, and while no
+  pair turns positive it stays the smallest: g = +inf.
+- The walk went on past a real near-tie: g = -inf, so the next frame
+  solves.
+
+A skipped frame returns M's pairs, with M's weights summed in row order
+as a solve sums them, so its objective is bitwise the one a solve gives.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,6 +106,15 @@ def solve_matrix(w: np.ndarray, row_ids: Sequence[str], col_ids: Sequence[str]) 
     lexicographically smallest, with zero-weight pairs dropped; ties
     therefore resolve identically on every platform.
     """
+    return _assignment(_solve(w, row_ids, col_ids)[0], row_ids, col_ids)
+
+
+def _solve(w: np.ndarray, row_ids: Sequence[str],
+           col_ids: Sequence[str]) -> tuple[list[tuple[int, int, float]], float]:
+    """`solve_matrix`'s pairs as (row, column, weight) triples in row
+    order, and the gap bound the refined stage carries (see the module
+    docstring): +inf when the walk never needed the optimal total, the
+    certificate's bound when it held, -inf after a real near-tie."""
     # NaN fails both comparisons: numpy's min and max propagate it
     if w.size and not (0.0 <= np.minimum.reduce(w, axis=None) and np.maximum.reduce(w, axis=None) < math.inf):
         i, j = np.argwhere(~((w >= 0.0) & (w < math.inf)))[0].tolist()
@@ -109,8 +149,9 @@ def solve_matrix(w: np.ndarray, row_ids: Sequence[str], col_ids: Sequence[str]) 
                 best = float(np.add.reduce(base_w))
                 eps = _REL_EPS * max(1.0, best)
                 base = [(r, c, v) for (r, c), v in zip(base_cols.items(), base_w.tolist()) if v > 0.0]
-                if _base_is_unique(w, base, best, eps):
-                    return _assignment(base, row_ids, col_ids)
+                gap = _certificate(w, base, best, eps)
+                if gap is not None:
+                    return base, gap
             rest = w[np.ix_(range(i + 1, nr), [c for c in free_cols if c != j])]
             r, c = linear_sum_assignment(rest, maximize=True)
             if fixed_sum + row[j] + rest[r, c].sum() >= best - eps:
@@ -125,13 +166,15 @@ def solve_matrix(w: np.ndarray, row_ids: Sequence[str], col_ids: Sequence[str]) 
         # An unpaired row consumes no column: partial-matching semantics.
         # If on_base, the base solution left this row out or parked it on a
         # worthless column, which stays available to later rows.
-    return _assignment(fixed, row_ids, col_ids)
+    return fixed, (math.inf if best < 0.0 else -math.inf)
 
 
-def _base_is_unique(w: np.ndarray, base: list[tuple[int, int, float]], best: float, eps: float) -> bool:
-    """Whether every matching holding a positive pair outside base, the
-    optimum's positive pairs as (row, column, weight) triples, lies more
-    than eps below best (the argument is in the module docstring)."""
+def _certificate(w: np.ndarray, base: list[tuple[int, int, float]], best: float,
+                 eps: float) -> float | None:
+    """None unless every matching holding a positive pair outside base,
+    the optimum's positive pairs as (row, column, weight) triples, lies
+    more than eps below best; then a bound g such that all of them lie at
+    least g below best (the argument is in the module docstring)."""
     delta = 2.0 * eps
     rows = [i for i, _, _ in base]
     cols = [j for _, j, _ in base]
@@ -139,11 +182,14 @@ def _base_is_unique(w: np.ndarray, base: list[tuple[int, int, float]], best: flo
         open_rows = sorted(set(range(w.shape[0])).difference(rows))
         open_cols = sorted(set(range(w.shape[1])).difference(cols))
         if w[np.ix_(open_rows, open_cols)].any():
-            return False
+            return None
     lowered = w.copy()
     lowered[rows, cols] -= delta
     r, c = linear_sum_assignment(lowered, maximize=True)
-    return np.add.reduce(lowered[r, c]) <= best - delta * len(base) + eps / 2
+    lowered_best = float(np.add.reduce(lowered[r, c]))
+    if lowered_best > best - delta * len(base) + eps / 2:
+        return None
+    return best - (lowered_best + delta * (len(base) - 1))
 
 
 def _assignment(pairs: list[tuple[int, int, float]], row_ids: Sequence[str],
@@ -155,45 +201,108 @@ def _assignment(pairs: list[tuple[int, int, float]], row_ids: Sequence[str],
     return Assignment(frozenset((row_ids[i], col_ids[j]) for i, j, _ in pairs), objective)
 
 
-def solve_lsap(weights: Mapping[tuple[str, str], float]) -> Assignment:
-    """`solve_matrix` over the given pair weights; missing pairs weigh zero."""
-    row_ids = sorted({t for t, _ in weights})
-    col_ids = sorted({s for _, s in weights})
-    row_index = {t: i for i, t in enumerate(row_ids)}
-    col_index = {s: j for j, s in enumerate(col_ids)}
-    w = np.zeros((len(row_ids), len(col_ids)))
-    for (t, s), wv in weights.items():
-        w[row_index[t], col_index[s]] = wv
-    return solve_matrix(w, row_ids, col_ids)
-
-
 def raw_pair(matrix: SimilarityMatrix) -> Assignment:
     """Frame-local pairing straight from the similarity scores."""
     return solve_matrix(matrix.values, matrix.trace_ids, matrix.sensor_ids)
 
 
-@dataclass
 class RefinedState:
-    """Accumulated pairing evidence: counts[(trace, sensor)] is the number
-    of frames the raw stage paired them so far."""
+    """Accumulated pairing evidence: how many frames the raw stage paired
+    each (trace, sensor) so far, as an int64 array with one row per trace
+    of `trace_ids` and one column per sensor of `sensor_ids`, each list in
+    id order; a trace or sensor has its row or column while it holds a
+    positive count. Beside it, a float array holds each pair's weight
+    log2(1 + count), set by math.log2 whenever the count changes (np.log2
+    differs from it for some integers). The state also keeps the last
+    refined pairing and its gap bound, so that `refined_pair` can skip a
+    solve that cannot change the result (see the module docstring)."""
 
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    def __init__(self, counts: Mapping[tuple[str, str], int] | None = None) -> None:
+        positive = {k: c for k, c in (counts or {}).items() if c > 0}
+        self.trace_ids = sorted({t for t, _ in positive})
+        self.sensor_ids = sorted({s for _, s in positive})
+        self._rows = {t: i for i, t in enumerate(self.trace_ids)}
+        self._cols = {s: j for j, s in enumerate(self.sensor_ids)}
+        self._counts = np.zeros((len(self.trace_ids), len(self.sensor_ids)), dtype=np.int64)
+        self._weights = np.zeros(self._counts.shape)
+        for (t, s), c in positive.items():
+            i, j = self._rows[t], self._cols[s]
+            self._counts[i, j] = c
+            self._weights[i, j] = math.log2(1 + c)
+        # The last refined pairing while no frame since could have changed
+        # it (else None), its pairs as (row, column) and its gap bound.
+        self._held: Assignment | None = None
+        self._held_at: list[tuple[int, int]] = []
+        self._gap = -math.inf
+
+    @property
+    def counts(self) -> dict[tuple[str, str], int]:
+        """The positive counts keyed by (trace, sensor)."""
+        rows, cols = np.nonzero(self._counts)
+        return {(self.trace_ids[i], self.sensor_ids[j]): c
+                for i, j, c in zip(rows.tolist(), cols.tolist(), self._counts[rows, cols].tolist())}
 
     def retire_trace(self, trace_id: str) -> None:
         """Forget a trace that ended; a dead trace must not keep a sensor
-        bound to it."""
-        for key in [k for k in self.counts if k[0] == trace_id]:
-            del self.counts[key]
+        bound to it. A sensor left without counts loses its column."""
+        i = self._rows.pop(trace_id, None)
+        if i is None:
+            return
+        del self.trace_ids[i]
+        counts = np.delete(self._counts, i, axis=0)
+        weights = np.delete(self._weights, i, axis=0)
+        held = counts.any(axis=0)
+        if not held.all():
+            counts, weights = counts[:, held], weights[:, held]
+            self.sensor_ids = [s for s, keep in zip(self.sensor_ids, held.tolist()) if keep]
+            self._cols = {s: j for j, s in enumerate(self.sensor_ids)}
+        self._counts, self._weights = counts, weights
+        self._rows = {t: k for k, t in enumerate(self.trace_ids)}
+        self._held = None
+
+    def _add(self, trace_id: str, sensor_id: str) -> None:
+        """One more frame of evidence for the pair."""
+        i = self._rows.get(trace_id)
+        if i is None:
+            i = bisect.bisect(self.trace_ids, trace_id)
+            self.trace_ids.insert(i, trace_id)
+            self._counts = np.insert(self._counts, i, 0, axis=0)
+            self._weights = np.insert(self._weights, i, 0.0, axis=0)
+            self._rows = {t: k for k, t in enumerate(self.trace_ids)}
+        j = self._cols.get(sensor_id)
+        if j is None:
+            j = bisect.bisect(self.sensor_ids, sensor_id)
+            self.sensor_ids.insert(j, sensor_id)
+            self._counts = np.insert(self._counts, j, 0, axis=1)
+            self._weights = np.insert(self._weights, j, 0.0, axis=1)
+            self._cols = {s: k for k, s in enumerate(self.sensor_ids)}
+        c = self._counts.item(i, j) + 1
+        self._counts[i, j] = c
+        self._weights[i, j] = math.log2(1 + c)
 
 
 def update_rsim(state: RefinedState, assignment: Assignment) -> RefinedState:
-    for pair in assignment.pairs:
-        state.counts[pair] = state.counts.get(pair, 0) + 1
+    if state._held is not None and not assignment.pairs <= state._held.pairs:
+        state._held = None
+    for trace_id, sensor_id in assignment.pairs:
+        state._add(trace_id, sensor_id)
     return state
 
 
 def refined_pair(state: RefinedState) -> Assignment:
     """History-weighted pairing: weight log2(1 + count) grows slowly, so a
-    pairing must persist across many frames to displace another."""
-    weights = {k: math.log2(1 + c) for k, c in state.counts.items() if c > 0}
-    return solve_lsap(weights)
+    pairing must persist across many frames to displace another. Reuses
+    the last pairing while it provably stands (see the module docstring)."""
+    held = state._held
+    if held is not None:
+        weights = state._weights
+        objective = 0.0
+        for i, j in state._held_at:
+            objective += weights.item(i, j)
+        if state._gap > 1.5 * _REL_EPS * max(1.0, objective):
+            state._held = Assignment(held.pairs, objective)
+            return state._held
+    pairs, state._gap = _solve(state._weights, state.trace_ids, state.sensor_ids)
+    state._held_at = [(i, j) for i, j, _ in pairs]
+    state._held = _assignment(pairs, state.trace_ids, state.sensor_ids)
+    return state._held

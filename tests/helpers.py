@@ -2,7 +2,9 @@
 
 Deliberately written in the most literal way possible, sharing no code with
 the package: plain neighbor scans, exhaustive enumeration, and the
-canonical pairing walk that re-solves for every candidate column.
+canonical pairing walk that re-solves for every candidate column. Only
+`solve_lsap`, the package's solver driven through a dict of pair
+weights, is not a reference.
 """
 
 import itertools
@@ -10,6 +12,20 @@ import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from stridelink.pairing import solve_matrix
+
+
+def solve_lsap(weights):
+    """`solve_matrix` over the given pair weights; missing pairs weigh zero."""
+    row_ids = sorted({t for t, _ in weights})
+    col_ids = sorted({s for _, s in weights})
+    row_index = {t: i for i, t in enumerate(row_ids)}
+    col_index = {s: j for j, s in enumerate(col_ids)}
+    w = np.zeros((len(row_ids), len(col_ids)))
+    for (t, s), wv in weights.items():
+        w[row_index[t], col_index[s]] = wv
+    return solve_matrix(w, row_ids, col_ids)
 
 
 def oracle_marks(seq, d):

@@ -14,7 +14,6 @@ import pytest
 from stridelink.acc_features import FilterSpec, lowpass
 from stridelink.cli import main
 from stridelink.evaluation import evaluate_run, ts_sweep
-from stridelink.pairing import solve_lsap
 from stridelink.pipeline import PipelineParams, run_pipeline
 from stridelink.similarity import (
     SimilarityParams,
@@ -25,7 +24,7 @@ from stridelink.similarity import (
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 
 from conftest import two_person_config
-from helpers import brute_force_lsap, lex_smallest, oracle_marks
+from helpers import brute_force_lsap, lex_smallest, oracle_marks, solve_lsap
 
 
 def _verdict(name, ok, detail):

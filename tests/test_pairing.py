@@ -4,19 +4,19 @@ import random
 import numpy as np
 import pytest
 
-from stridelink import pairing
+from stridelink import pairing, pipeline
 from stridelink.pairing import (
     Assignment,
     RefinedState,
     raw_pair,
     refined_pair,
-    solve_lsap,
     solve_matrix,
     update_rsim,
 )
+from stridelink.pipeline import PipelineParams, run_pipeline
 from stridelink.similarity import SimilarityMatrix
 
-from helpers import brute_force_lsap, lex_smallest, oracle_lsap
+from helpers import brute_force_lsap, lex_smallest, oracle_lsap, solve_lsap
 
 
 def grid(rows):
@@ -300,3 +300,167 @@ def test_refined_flips_less_often_than_raw(separable_run):
         )
 
     assert changes("refined") <= changes("raw")
+
+
+# the refined stage's skipped solves against a fresh canonical walk
+
+
+def _log2_weights(counts):
+    return {k: math.log2(1 + c) for k, c in counts.items() if c > 0}
+
+
+def _random_matching(rng, traces, sensors):
+    traces, sensors = list(traces), list(sensors)
+    rng.shuffle(traces)
+    rng.shuffle(sensors)
+    k = rng.randint(0, min(len(traces), len(sensors)))
+    return frozenset(zip(traces[:k], sensors[:k]))
+
+
+def _near_tie_counts(rng):
+    """Counts whose refined optimum M pairs tb-s0 with count n * n and beats
+    the lexicographically smaller ta-s0, tb-s1 (counts n - 1 each) by
+    log2(1 + 1 / n^2), a few eps; each u<k> has its own sensor, in M and in
+    the rival alike. Raw frames that add only to the u rows grow the total
+    and so eps, and the rival comes within eps."""
+    n = rng.randint(3000, 9000)
+    counts = {("tb", "s0"): n * n, ("ta", "s0"): n - 1, ("tb", "s1"): n - 1}
+    for k in range(rng.randint(0, 12)):
+        counts[(f"u{k}", f"v{k}")] = rng.randint(1, 3)
+    return counts
+
+
+def _replay_refined(rng, counts, steps, shared_only):
+    """Drive a RefinedState through random frames while keeping the same
+    counts as a plain dict, and compare every refined pairing with a fresh
+    oracle walk. Returns the distinct pair sets seen."""
+    state = RefinedState(counts)
+    counts = dict(counts)
+    sensors = sorted({s for _, s in counts} | {f"s{j}" for j in range(rng.randint(1, 4))})
+    live = sorted({t for t, _ in counts})
+    born = len(live)
+    seen = set()
+    refined = refined_pair(state)
+    for _ in range(steps):
+        r = rng.random()
+        if r < 0.06 and live:
+            # a retirement, of a trace the refined stage pairs or not
+            trace_id = rng.choice(live)
+            live.remove(trace_id)
+            state.retire_trace(trace_id)
+            counts = {k: c for k, c in counts.items() if k[0] != trace_id}
+        elif r < 0.14:
+            # unpadded ids: t10 sorts before t9, unlike birth order
+            live.append(f"t{born}")
+            born += 1
+        if shared_only or rng.random() < 0.6:
+            # a frame that adds only to the held pairing
+            raw = frozenset(p for p in refined.pairs
+                            if rng.random() < 0.7 and not (shared_only and p[0] in ("ta", "tb")))
+        else:
+            raw = _random_matching(rng, live, sensors)
+        update_rsim(state, Assignment(raw, 0.0))
+        for pair in raw:
+            counts[pair] = counts.get(pair, 0) + 1
+        refined = refined_pair(state)
+        want_pairs, want_objective = oracle_lsap(_log2_weights(counts))
+        assert state.counts == {k: c for k, c in counts.items() if c > 0}
+        assert refined.pairs == want_pairs
+        assert refined.objective.hex() == want_objective.hex()
+        seen.add(refined.pairs)
+    return seen
+
+
+def test_skipped_solves_equal_a_fresh_walk_on_random_histories():
+    rng = random.Random(11)
+    for _ in range(300):
+        traces = [f"t{i}" for i in range(rng.randint(0, 5))]
+        sensors = [f"s{j}" for j in range(rng.randint(1, 4))]
+        counts = {(t, s): rng.randint(0, 4) for t in traces for s in sensors if rng.random() < 0.6}
+        _replay_refined(rng, counts, 40, shared_only=False)
+
+
+def test_skipped_solves_equal_a_fresh_walk_near_a_tie():
+    rng = random.Random(12)
+    flipped = 0
+    for case in range(60):
+        seen = _replay_refined(rng, _near_tie_counts(rng), 30, shared_only=case % 3 != 0)
+        flipped += len({frozenset(t for t, _ in pairs) & {"ta", "tb"} for pairs in seen}) > 1
+    # the rival overtook the held pairing in some histories, so a skip that
+    # ignored the growing eps would have been caught
+    assert flipped >= 5
+
+
+def test_refined_objective_sums_math_log2_bitwise():
+    # log2(1621) is where numpy's log2 and math.log2 part
+    assert np.log2(1621.0) != math.log2(1621)
+    state = RefinedState({("t0", "s0"): 1619, ("t1", "s1"): 1620})
+    got = refined_pair(state)
+    assert got.objective.hex() == (math.log2(1620) + math.log2(1621)).hex()
+    # a skipped solve reads the same table
+    update_rsim(state, Assignment(frozenset({("t0", "s0")}), 0.0))
+    got = refined_pair(state)
+    assert got.pairs == {("t0", "s0"), ("t1", "s1")}
+    assert got.objective.hex() == (math.log2(1621) + math.log2(1621)).hex()
+
+
+def test_refined_rows_sort_as_strings_past_t9999(monkeypatch):
+    calls = []
+    real = pairing.linear_sum_assignment
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pairing, "linear_sum_assignment", counted)
+    traces = ["t9998", "t9999", "t10000", "t10001"]
+    state = RefinedState()
+    counts = {}
+    rng = random.Random(5)
+    refined = refined_pair(state)
+    skipped = 0
+    for k in range(60):
+        if k % 4 == 0 or not refined.pairs:
+            # every trace equally often with every sensor: a tie that only
+            # the row order settles
+            raw = frozenset(zip(traces, rng.sample(["s0", "s1", "s2", "s3"], 4)))
+        else:
+            raw = frozenset(p for p in refined.pairs if rng.random() < 0.5)
+        update_rsim(state, Assignment(raw, 0.0))
+        for pair in raw:
+            counts[pair] = counts.get(pair, 0) + 1
+        solves = len(calls)
+        refined = refined_pair(state)
+        skipped += len(calls) == solves
+        want = solve_lsap(_log2_weights(counts))
+        assert (refined.pairs, refined.objective.hex()) == (want.pairs, want.objective.hex())
+    assert state.trace_ids == ["t10000", "t10001", "t9998", "t9999"]
+    assert skipped > 10
+    tied = RefinedState({(t, s): 1 for t in traces for s in ("s0", "s1")})
+    assert refined_pair(tied).sorted_pairs() == [("t10000", "s0"), ("t10001", "s1")]
+
+
+def test_refined_stage_skips_solves_on_a_steady_scene(monkeypatch, separable_data, separable_run):
+    calls = []
+    inside = []
+    real_solve = pairing.linear_sum_assignment
+    real_refined = pipeline.refined_pair
+
+    def counted(*args, **kwargs):
+        if inside:
+            calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    def refined(state):
+        inside.append(1)
+        try:
+            return real_refined(state)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(pairing, "linear_sum_assignment", counted)
+    monkeypatch.setattr(pipeline, "refined_pair", refined)
+    run = run_pipeline(separable_data.frames, separable_data.streams, PipelineParams(ts_gate=2.0))
+    assert [fr.refined for fr in run.frames] == [fr.refined for fr in separable_run.frames]
+    # three walkers told apart early: one solve per frame would be 2,000
+    assert len(calls) <= len(run.frames) // 100

@@ -237,6 +237,11 @@ TIED_SCENE_SHA256 = "076b85da6d0fed6ba4c8f8e9537a7ac44c10607192570d5168bdaa74a64
 # recorded while each sensor value was still pushed and marked on its own.
 SCALING_SCENE_SHA256 = "a3283ea8fa44b58715c37dce0e5197befbe6b060538ab95717759cf2dbc168ca"
 
+# sha256 of assignments.jsonl for the fragmenting scene below, recorded
+# while the refined stage still rebuilt its weights from a dict and
+# solved on every frame.
+FRAGMENT_SCENE_SHA256 = "e2d008f1fa2e7097eebcd445f036482eaa316e3655396f27ec544b5b635c8f62"
+
 
 def test_tied_scene_keeps_its_canonical_pairs(tmp_path):
     """Eight walkers with one gait give 8 x 8 matrices full of tied weights,
@@ -266,3 +271,24 @@ def test_scaling_scene_keeps_its_bytes(tmp_path):
     path = tmp_path / "assignments.jsonl"
     write_assignments(str(path), run_pipeline(data.frames, data.streams))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCALING_SCENE_SHA256
+
+
+def test_fragment_scene_keeps_its_bytes(tmp_path):
+    """Six walkers of the scaling layout in 60 px boxes with 2 px jitter,
+    for 300 frames: traces fragment, and traces the refined stage pairs
+    die, so their evidence retires while the stage holds them."""
+    n = 6
+    persons = tuple(
+        PersonSpec(f"p{k}", 0.6 + 1.8 * k / n, phase=0.7 * k,
+                   path=((50.0, 60.0 + 400.0 * k / n), (590.0, 60.0 + 400.0 * k / n)),
+                   box_height=60.0)
+        for k in range(n)
+    )
+    data = generate(ScenarioConfig(persons=persons, duration=300 / 30.0, box_noise=2.0, seed=1))
+    run = run_pipeline(data.frames, data.streams)
+    held = {t for fr in run.frames for t, _ in fr.refined.pairs}
+    assert len(run.traces) > 4 * n
+    assert len({t for t in held if not run.traces[t].active}) >= 5
+    path = tmp_path / "assignments.jsonl"
+    write_assignments(str(path), run)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FRAGMENT_SCENE_SHA256
