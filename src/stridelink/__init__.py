@@ -8,7 +8,6 @@ per frame, optionally smoothed over the pairing history.
 """
 
 from .acc_features import (
-    AccFeatureSequence,
     EmptyOverlap,
     FilterSpec,
     NyquistViolation,

@@ -43,19 +43,6 @@ class FilterSpec:
     cutoff_hz: float = 15.0
 
 
-@dataclass(frozen=True, eq=False)
-class AccFeatureSequence:
-    """Step feature: filtered magnitude with one value per video frame, as
-    a read-only float64 array."""
-
-    sensor_id: str
-    start_frame: int
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def magnitude(stream: SensorStream) -> np.ndarray:
     """Direction-free acceleration: sqrt(ax^2 + ay^2 + az^2) per sample."""
     if not len(stream.samples):
@@ -82,14 +69,15 @@ def resample_to_frames(
     stream: SensorStream,
     values: np.ndarray,
     frame_clock: Sequence[tuple[int, Timestamp]],
-) -> AccFeatureSequence:
+) -> np.ndarray:
     """Linearly interpolate `values`, one per sample of `stream` (the
     filtered magnitude), at each frame timestamp.
 
     Interpolation (rather than decimation by dropping) tolerates phone
-    timestamp jitter against the frame clock. The output has one value per
-    frame index from the first to the last; an index the clock skips takes
-    a timestamp interpolated from its neighbours. Frame timestamps outside
+    timestamp jitter against the frame clock. The output, a read-only
+    float64 array, has one value per frame index from the first to the
+    last; an index the clock skips takes a timestamp interpolated from its
+    neighbours. Frame timestamps outside
     the sensor's span clamp to its first/last value; fully disjoint spans
     are an error.
     """
@@ -98,9 +86,8 @@ def resample_to_frames(
     frames = np.asarray([f for f, _ in frame_clock], dtype=float)
     if np.any(np.diff(frames) <= 0):
         raise ValueError("frame clock indices must increase")
-    first = frame_clock[0][0]
     frame_ts = np.interp(
-        np.arange(first, frame_clock[-1][0] + 1, dtype=float),
+        np.arange(frame_clock[0][0], frame_clock[-1][0] + 1, dtype=float),
         frames,
         np.asarray([t for _, t in frame_clock], dtype=float),
     )
@@ -112,13 +99,13 @@ def resample_to_frames(
         )
     resampled = np.interp(frame_ts, t, values)
     resampled.setflags(write=False)
-    return AccFeatureSequence(stream.sensor_id, first, resampled)
+    return resampled
 
 
 def step_features(
     stream: SensorStream,
     frame_clock: Sequence[tuple[int, Timestamp]],
     spec: FilterSpec = FilterSpec(),
-) -> AccFeatureSequence:
+) -> np.ndarray:
     """Full per-sensor pipeline: magnitude -> lowpass -> frame alignment."""
     return resample_to_frames(stream, lowpass(magnitude(stream), stream.nominal_rate, spec), frame_clock)

@@ -27,15 +27,14 @@ import sys
 from dataclasses import fields, replace
 
 from . import fileio
-from .acc_features import EmptyOverlap, FilterSpec, NyquistViolation
-from .evaluation import STAGES, UndefinedRate, evaluate_run, ts_sweep
-from .model import GroundTruth, validate_detection_log
+from .acc_features import FilterSpec
+from .evaluation import STAGES, TS_GATES, UndefinedRate, UnknownId, evaluate_run, ts_sweep
+from .model import validate_detection_log
 from .pipeline import PipelineParams, run_pipeline
 from .similarity import SimilarityParams
-from .simulator import ConfigError, PersonSpec, ScenarioConfig, ScenarioData, generate
+from .simulator import PersonSpec, ScenarioConfig, ScenarioData, generate
 from .tracer import TracerParams
 
-DEFAULT_SWEEP_TS = (0.33, 1.0, 2.0, 3.0, 4.0)
 # Top-level keys of the "match" section, with the JSON type each must have.
 MATCH_KEYS = {"detections": str, "sensors": list, "sensors_dir": str, "truth": str,
               "fps": float, "ts_gate": float, "tracer": dict, "filter": dict, "similarity": dict}
@@ -224,9 +223,6 @@ def cmd_match(args: argparse.Namespace) -> int:
     stages = _stage_list(args.stage)
 
     run = run_pipeline(frames, streams, params)
-
-    os.makedirs(args.out, exist_ok=True)
-    fileio.write_assignments(os.path.join(args.out, "assignments.jsonl"), run, stages)
     summary: dict = {
         "frames": len(run.frames),
         "traces": len(run.traces),
@@ -244,6 +240,9 @@ def cmd_match(args: argparse.Namespace) -> int:
                 summary["r_cd"][stage] = evals[stage].r_cd()
             except UndefinedRate:
                 summary["r_cd"][stage] = None
+
+    os.makedirs(args.out, exist_ok=True)
+    fileio.write_assignments(os.path.join(args.out, "assignments.jsonl"), run, stages)
     fileio.write_summary(os.path.join(args.out, "summary.json"), summary)
     print(
         f"matched {len(run.frames)} frames at {run.throughput_fps:.0f} fps"
@@ -310,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--stage", choices=("raw", "refined", "both"), default="both")
     p_sweep.add_argument(
-        "--ts", default=",".join(str(v) for v in DEFAULT_SWEEP_TS),
+        "--ts", default=",".join(str(v) for v in TS_GATES),
         help="comma-separated gates in seconds",
     )
     p_sweep.set_defaults(func=cmd_sweep)
@@ -322,8 +321,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, fileio.FormatError, NyquistViolation,
-            EmptyOverlap, FileNotFoundError) as exc:
+    # the package raises ValueError (and UnknownId) for bad input only
+    except (ValueError, FileNotFoundError, UnknownId) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,10 +23,13 @@ from .pipeline import MatchRun, PipelineParams, run_pipeline
 from .simulator import ScenarioData
 
 STAGES = ("raw", "refined")
+TS_GATES = (0.33, 1.0, 2.0, 3.0, 4.0)  # seconds, the gates a sweep runs by default
 
 
 class UnknownId(KeyError):
     """An assignment referenced an id that ground truth does not cover."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's quoted key
 
 
 class UndefinedRate(ValueError):
@@ -127,7 +130,7 @@ class TsSweepRow:
 
 def ts_sweep(
     scenario: ScenarioData,
-    ts_values: Iterable[float] = (0.33, 1.0, 2.0, 3.0, 4.0),
+    ts_values: Iterable[float] = TS_GATES,
     params: PipelineParams = PipelineParams(),
     stages: Sequence[str] = STAGES,
 ) -> list[TsSweepRow]:

@@ -2,9 +2,8 @@
 
 Per frame: advance the tracer, extend each live trace's ratio stream
 (its boxes' height/width, filling the frames a trace went unseen by
-linear interpolation), release the sensors' step features through this
-frame, then score each gated trace against every sensor and solve both
-pairing stages.
+linear interpolation), then score each gated trace against every sensor
+through this frame and solve both pairing stages.
 Both kinds of stream sit on one absolute frame grid: a frame index the
 log skips gets filled values in every stream, but no result of its own.
 Similarity is computed incrementally: each live trace has one record, a
@@ -15,16 +14,16 @@ grow with elapsed time. A trace that dies loses its record.
 
 Sensor filtering, frame alignment, extremum marking and the table of
 what a trace mark costs against each sensor all happen up front, as
-arrays over the whole run: the filter is causal and a mark or cost is
-used only once the frames it depends on are released, so precomputing
-them is observationally identical to streaming them.
+arrays over the whole run: the filter is causal and a scorer folds a mark
+only once the frames it depends on are reached, so precomputing them is
+observationally identical to streaming them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -102,11 +101,11 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     frame_clock = [(f.frame_index, f.timestamp) for f in frames]
-    features = sorted((step_features(stream, frame_clock, params.filter_spec) for stream in streams),
-                      key=lambda feat: feat.sensor_id)
-    sensor_ids = [feat.sensor_id for feat in features]
+    streams = sorted(streams, key=lambda stream: stream.sensor_id)
+    sensor_ids = [stream.sensor_id for stream in streams]
     # every sensor's features span the clock: one value per frame index
-    block = np.stack([feat.values for feat in features]) if features else np.empty((0, 0))
+    features = [step_features(stream, frame_clock, params.filter_spec) for stream in streams]
+    block = np.stack(features) if features else np.empty((0, 0))
     row = SensorRow.from_values(sensor_ids, block, params.similarity, frames[0].frame_index)
 
     gate = params.ts_gate * params.fps
@@ -130,17 +129,14 @@ def run_pipeline(
             del scorers[tid]
             state.retire_trace(tid)
 
-        pushed = f - row.start_frame + 1
-        row.release(pushed)
-
         trace_ids: list[str] = []
         rows: list[np.ndarray] = []
-        if sensor_ids and pushed >= gate:
+        if sensor_ids and f - row.start_frame + 1 >= gate:
             for tid in sorted(scorers):
                 scorer = scorers[tid]
                 if len(scorer.t) < gate:
                     continue
-                scorer.advance()
+                scorer.advance(f)
                 trace_ids.append(tid)
                 rows.append(scorer.score())
 

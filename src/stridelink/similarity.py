@@ -25,10 +25,10 @@ every sensor on one frame grid at once (`mark_extremes`), and the row
 tables the cost a trace mark of either sign would pay at each position, so
 that cost is worked out once per (sensor, position) rather than once per
 trace. `PairScorer` folds each trace mark into its running totals against
-the whole row with one vector add, and only once the row has released
-every mark in the trace mark's search window; earlier terms are
-immutable, which keeps per-frame cost constant. `sim` runs the same engine
-on a one-sensor row built from its marks.
+the whole row with one vector add, and only once the frames the caller
+has reached finalize every sensor mark in the trace mark's search window;
+earlier terms are immutable, which keeps per-frame cost constant. `sim`
+runs the same engine on a one-sensor row built from its marks.
 """
 
 from __future__ import annotations
@@ -97,12 +97,11 @@ class TernarySequence:
 
 
 def _classify(values: Sequence[float], x: int, half: int) -> int:
-    lo = max(0, x - half)
-    hi = min(len(values), x + half + 1)
+    """Mark of position x, given values through x + half."""
     v = values[x]
     is_max = True
     is_min = True
-    for k in range(lo, hi):
+    for k in range(max(0, x - half), x + half + 1):
         if k == x:
             continue
         if v <= values[k]:
@@ -111,11 +110,7 @@ def _classify(values: Sequence[float], x: int, half: int) -> int:
             is_min = False
         if not (is_max or is_min):
             return 0
-    if is_max and hi - lo > 1:
-        return 1
-    if is_min and hi - lo > 1:
-        return -1
-    return 0
+    return 1 if is_max else -1
 
 
 def detect_extremes(seq: Sequence[float], d: int = 10, start_frame: int = 0) -> TernarySequence:
@@ -123,11 +118,12 @@ def detect_extremes(seq: Sequence[float], d: int = 10, start_frame: int = 0) -> 
     each side, truncating windows at the edges."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    stream = ExtremeStream(d, start_frame)
-    for v in seq:
-        stream.push(v)
-    stream.flush()
-    return TernarySequence(tuple(stream.marks), start_frame)
+    values = np.asarray(seq, dtype=np.float64).reshape(1, -1)
+    bad = ~np.isfinite(values[0])
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"non-finite value {float(values[0, k])} at frame {start_frame + k}")
+    return TernarySequence(tuple(mark_extremes(values, d)[0].tolist()), start_frame)
 
 
 def sim(t: TernarySequence, a: TernarySequence, params: SimilarityParams = SimilarityParams()) -> float:
@@ -140,7 +136,7 @@ def sim(t: TernarySequence, a: TernarySequence, params: SimilarityParams = Simil
     trace = ExtremeStream(params.d, t.start_frame)
     trace.marks = list(t.values)
     scorer = PairScorer(trace, SensorRow(["a"], [a.values], params, a.start_frame))
-    scorer.advance()
+    scorer.advance(math.inf)
     return float(scorer.score()[0])
 
 
@@ -162,15 +158,13 @@ class SimilarityMatrix:
 
 class ExtremeStream:
     """Incrementally classifies a growing sequence, finalizing position x
-    once values through x + half exist (or at flush, with a truncated
-    window). Finalized marks never change."""
+    once values through x + half exist. Finalized marks never change."""
 
     def __init__(self, d: int, start_frame: int = 0):
         self.half = (d + 1) // 2
         self.start_frame = start_frame
         self._values: list[float] = []
         self.marks: list[int] = []
-        self.flushed = False
 
     def __len__(self) -> int:
         return len(self._values)
@@ -181,19 +175,12 @@ class ExtremeStream:
         return self._values[-1]
 
     def push(self, value: float) -> None:
-        if self.flushed:
-            raise ValueError("stream already flushed")
         if not math.isfinite(value):
             raise ValueError(f"non-finite value {value} at frame {self.start_frame + len(self._values)}")
         self._values.append(value)
         x = len(self._values) - 1 - self.half
         if x >= 0:
             self.marks.append(_classify(self._values, x, self.half))
-
-    def flush(self) -> None:
-        for x in range(len(self.marks), len(self._values)):
-            self.marks.append(_classify(self._values, x, self.half))
-        self.flushed = True
 
 
 def mark_extremes(values: np.ndarray, d: int) -> np.ndarray:
@@ -224,11 +211,7 @@ class SensorRow:
     the no-match penalty when there is none. The tables start pad
     positions before the row so that a trace starting earlier gets the
     same truncated-window costs; past their end every cost is the penalty.
-
-    `finalized` counts the marks a `PairScorer` may fold against, math.inf
-    for all of them. `release` lowers it to what the first values alone
-    would finalize, so that a caller can build the row from a whole run's
-    block up front and still fold frame by frame.
+    The row never changes once built.
     """
 
     def __init__(self, sensor_ids: Sequence[str], marks, params: SimilarityParams = SimilarityParams(),
@@ -239,9 +222,7 @@ class SensorRow:
             raise ValueError(f"sensor id {repeated[0]!r} given more than once")
         self.params = params
         self.start_frame = start_frame
-        self.half = (params.d + 1) // 2
         self.pad = pad = params.dif_d
-        self.finalized: float = math.inf
         marks = np.asarray(marks, dtype=np.int8)
         width = marks.shape[1] + 2 * pad
         self.costs = {}
@@ -273,21 +254,16 @@ class SensorRow:
                              f"at frame {start_frame + col}")
         return cls(sensor_ids, mark_extremes(values, params.d), params, start_frame)
 
-    def release(self, length: int) -> None:
-        """Let scorers fold only against the marks the first `length`
-        values finalize, as if the rest were not pushed yet."""
-        self.finalized = max(0, length - self.half)
-
 
 class PairScorer:
     """Running similarity of one trace stream against a `SensorRow`.
 
-    A trace mark at frame f is folded in, against every sensor at once,
-    once the row's marks through f + dif_d are released, so every folded
-    term is immutable. The mark count n is shared; totals[k] sums sensor
-    k's costs in mark order. Once every mark of the row is released and
-    the trace's marks are all in, score()[k] is the sim() of the trace's
-    marks against sensor k's.
+    A trace mark at frame F is folded in, against every sensor at once,
+    once the caller has reached frame F + half + dif_d: the row's marks
+    through F + dif_d are then final, so every folded term is immutable.
+    The mark count n is shared; totals[k] sums sensor k's costs in mark
+    order. Advanced through math.inf, score()[k] is the sim() of the
+    trace's marks against sensor k's.
     """
 
     def __init__(self, trace_stream: ExtremeStream, row: SensorRow):
@@ -295,15 +271,18 @@ class PairScorer:
         self.row = row
         # cost-table column of trace position 0
         self._col0 = trace_stream.start_frame - row.start_frame + row.pad
+        # the frame from which trace position 0 may fold
+        self._first_fold = trace_stream.start_frame + (row.params.d + 1) // 2 + row.pad
         self._next = 0
         self.n = 0
         self.totals = np.zeros(len(row.sensor_ids))
         self._scores = np.zeros(len(row.sensor_ids))
 
-    def advance(self) -> None:
+    def advance(self, through: float) -> None:
+        """Fold every trace mark that frames through `through` finalize."""
         row = self.row
         t_marks = self.t.marks
-        ready = min(len(t_marks), row.finalized - self._col0) - 1
+        ready = min(len(t_marks), through - self._first_fold + 1) - 1
         if self._next > ready:
             return
         n = self.n

@@ -24,7 +24,7 @@ and sensor noise; adding a person never perturbs the others' draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .model import BoundingBox, DetectionFrame, SensorStream
@@ -132,7 +132,6 @@ class ScenarioData:
     streams: tuple[SensorStream, ...]
     sensor_owners: dict[str, str]
     box_owners: dict[int, tuple[str, ...]]
-    config: ScenarioConfig | None = None  # None when rebuilt from files
 
 
 def _validate(config: ScenarioConfig) -> None:
@@ -254,4 +253,4 @@ def generate(config: ScenarioConfig) -> ScenarioData:
         streams.append(SensorStream(p.sensor, ts_us, samples, config.acc_rate))
         sensor_owners[p.sensor] = p.person_id
 
-    return ScenarioData(tuple(frames), tuple(streams), sensor_owners, box_owners, config)
+    return ScenarioData(tuple(frames), tuple(streams), sensor_owners, box_owners)

@@ -37,10 +37,6 @@ class Trace:
     def last_box(self) -> BoundingBox:
         return self.entries[-1][1]
 
-    @property
-    def start_frame(self) -> int:
-        return self.entries[0][0]
-
 
 def search_radius(box: BoundingBox, gap: int, radius_factor: float = 0.1) -> float:
     """Pixel radius a person may have moved `gap` frames after `box` was seen."""

@@ -9,18 +9,11 @@ import random
 import time
 import warnings
 
-import pytest
-
-from stridelink.acc_features import FilterSpec, lowpass
+from stridelink.acc_features import lowpass
 from stridelink.cli import main
 from stridelink.evaluation import evaluate_run, ts_sweep
-from stridelink.pipeline import PipelineParams, run_pipeline
-from stridelink.similarity import (
-    SimilarityParams,
-    TernarySequence,
-    detect_extremes,
-    sim,
-)
+from stridelink.pipeline import run_pipeline
+from stridelink.similarity import TernarySequence, detect_extremes, sim
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 
 from conftest import two_person_config

@@ -187,6 +187,58 @@ def test_non_finite_gates_rejected(tmp_path, capsys, command, ts, message):
     assert not res.exists()
 
 
+def edit_truth(tmp_path, edit):
+    """Rewrite the simulated truth.json through edit(payload)."""
+    path = tmp_path / "out" / "truth.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def rejected(tmp_path, capsys, command, cfg, message):
+    """The command fails with exactly this one diagnostic line and leaves
+    no output directory behind."""
+    capsys.readouterr()
+    res = tmp_path / "res"
+    args = [command, "--config", cfg, "--out", str(res)] + (["--ts", "1"] if command == "sweep" else [])
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not res.exists()
+
+
+@pytest.mark.parametrize("command", ["match", "sweep"])
+def test_truth_giving_one_person_two_sensors_rejected(tmp_path, capsys, command):
+    cfg = simulated(tmp_path)
+    edit_truth(tmp_path, lambda t: t["sensor_to_person"].update({"p1-acc": "p0"}))
+    rejected(tmp_path, capsys, command, cfg, "person 'p0' carried by both 'p0-acc' and 'p1-acc'")
+
+
+@pytest.mark.parametrize("command", ["match", "sweep"])
+def test_paired_sensor_missing_from_truth_rejected(tmp_path, capsys, command):
+    cfg = simulated(tmp_path)
+    edit_truth(tmp_path, lambda t: t["sensor_to_person"].pop("p1-acc"))
+    rejected(tmp_path, capsys, command, cfg, "sensor 'p1-acc' not in ground truth")
+
+
+@pytest.mark.parametrize("command", ["match", "sweep"])
+def test_box_missing_from_truth_rejected(tmp_path, capsys, command):
+    cfg = simulated(tmp_path)
+    owners = json.loads((tmp_path / "out" / "truth.json").read_text())["box_owners"]
+    frame = min(int(f) for f, boxes in owners.items() if len(boxes) == 2)
+    edit_truth(tmp_path, lambda t: t["box_owners"][str(frame)].pop())
+    rejected(tmp_path, capsys, command, cfg, f"frame {frame} box 1 has no recorded owner")
+
+
+@pytest.mark.parametrize("command", ["match", "sweep"])
+def test_two_sensor_files_with_one_stem_rejected(tmp_path, capsys, command):
+    simulated(tmp_path)
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "p0-acc.csv").write_bytes((tmp_path / "out" / "sensors" / "p1-acc.csv").read_bytes())
+    sensors = ["out/sensors/p0-acc.csv", "out/sensors/p1-acc.csv", "other/p0-acc.csv"]
+    cfg = write_cfg(tmp_path, match={**MATCH, "sensors": sensors}, name="twin.json")
+    rejected(tmp_path, capsys, command, cfg, "sensor id 'p0-acc' given more than once")
+
+
 def test_unknown_config_keys_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, scenario={**SCENARIO, "fpsx": 1})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from stridelink import pipeline
+from stridelink.acc_features import step_features
 from stridelink.fileio import write_assignments
 from stridelink.model import BoundingBox, DetectionFrame, SensorStream
 from stridelink.pipeline import PipelineParams, _push_sighting, run_pipeline
@@ -11,7 +12,7 @@ from stridelink.similarity import ExtremeStream
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 
 from conftest import two_person_config
-from helpers import oracle_marks, oracle_ratios
+from helpers import oracle_marks, oracle_ratios, oracle_sim
 
 
 def box_with_ratio(r):
@@ -26,11 +27,14 @@ def test_live_stream_fills_gaps_like_the_batch_path():
     batch = oracle_ratios([(f, b.ratio) for f, b in entries])
 
     stream = ExtremeStream(10, start_frame=3)
+    pushed = []
+    push = stream.push
+    stream.push = lambda value: (pushed.append(value), push(value))
     for f, b in entries:
         _push_sighting(stream, f, b.ratio)
     assert len(stream) == len(batch)
-    stream.flush()
-    assert stream.marks == oracle_marks(batch, 10)
+    assert pushed == batch
+    assert stream.marks == oracle_marks(batch, 10)[:len(batch) - stream.half]
 
 
 def test_empty_input_yields_empty_run():
@@ -123,9 +127,9 @@ def test_one_advance_per_gated_trace_per_frame(monkeypatch):
     advance = pipeline.PairScorer.advance
     raw_pair = pipeline.raw_pair
 
-    def counted(self):
+    def counted(self, through):
         calls.append(self)
-        return advance(self)
+        return advance(self, through)
 
     def spy(matrix):
         traces = {t for t, _ in matrix.scores}
@@ -154,9 +158,20 @@ def test_sensor_values_never_pushed_one_at_a_time(monkeypatch):
 
     monkeypatch.setattr(pipeline.ExtremeStream, "push", counted)
     run = run_pipeline(data.frames, data.streams)
-    spans = [t.entries[-1][0] - t.start_frame + 1 for t in run.traces.values()]
+    spans = [t.entries[-1][0] - t.entries[0][0] + 1 for t in run.traces.values()]
     assert sum(spans) > sum(len(t.entries) for t in run.traces.values())  # some gaps were filled
     assert len(pushes) == sum(spans)
+
+
+def fragmenting_scene():
+    """Six walkers in 60 px boxes with dropouts, for 240 frames: traces
+    fragment, so they are born late and die early."""
+    persons = tuple(
+        PersonSpec(f"p{k}", 0.6 + 0.3 * k, phase=0.7 * k, box_height=60.0,
+                   path=((50.0, 60.0 + 70.0 * k), (590.0, 60.0 + 70.0 * k)))
+        for k in range(6)
+    )
+    return generate(ScenarioConfig(persons=persons, duration=240 / 30.0, dropout_prob=0.1, seed=5))
 
 
 def test_a_frame_never_sees_later_frames(monkeypatch):
@@ -165,12 +180,7 @@ def test_a_frame_never_sees_later_frames(monkeypatch):
     but a frame folds only what the frames through it finalize. Six
     walkers in 60 px boxes with dropouts fragment traces, so births and
     deaths are cut too."""
-    persons = tuple(
-        PersonSpec(f"p{k}", 0.6 + 0.3 * k, phase=0.7 * k, box_height=60.0,
-                   path=((50.0, 60.0 + 70.0 * k), (590.0, 60.0 + 70.0 * k)))
-        for k in range(6)
-    )
-    data = generate(ScenarioConfig(persons=persons, duration=240 / 30.0, dropout_prob=0.1, seed=5))
+    data = fragmenting_scene()
     scores = []
     raw_pair = pipeline.raw_pair
 
@@ -191,6 +201,46 @@ def test_a_frame_never_sees_later_frames(monkeypatch):
         scores.clear()
         assert run_pipeline(data.frames[:k], data.streams, params).frames == full[:k], k
         assert scores == full_scores[:k], k
+
+
+def test_a_trace_mark_first_counts_at_frame_f_plus_half_plus_dif_d(monkeypatch):
+    """Every score the pipeline pairs from follows the literal rule: on
+    frame f, a gated trace scores the marks its own ratios have finalized
+    at frames F with F + half + dif_d <= f, against every sensor's marks."""
+    data = fragmenting_scene()
+    matrices = []
+    raw_pair = pipeline.raw_pair
+
+    def spy(matrix):
+        matrices.append(matrix)
+        return raw_pair(matrix)
+
+    monkeypatch.setattr(pipeline, "raw_pair", spy)
+    params = PipelineParams()
+    run = run_pipeline(data.frames, data.streams, params)
+    d, dif_d = params.similarity.d, params.similarity.dif_d
+    half = (d + 1) // 2
+    clock = [(fr.frame_index, fr.timestamp) for fr in data.frames]
+    sensor_marks = {s.sensor_id: oracle_marks(step_features(s, clock).tolist(), d) for s in data.streams}
+    # A trace's marks through its last sighting s depend only on its
+    # ratios through s, so one pass over all its sightings serves every f.
+    traces = {}
+    for tid, trace in run.traces.items():
+        sightings = [(g, box.ratio) for g, box in trace.entries]
+        traces[tid] = (sightings, oracle_marks(oracle_ratios(sightings), d))
+    checked = set()
+    for fr, matrix in zip(data.frames, matrices):
+        f = fr.frame_index
+        for tid, scores in zip(matrix.trace_ids, matrix.values.tolist()):
+            sightings, marks = traces[tid]
+            start = sightings[0][0]
+            last = max(g for g, _ in sightings if g <= f)
+            final = marks[:max(0, last - start + 1 - half)]
+            folded = [m if start + x + half + dif_d <= f else 0 for x, m in enumerate(final)]
+            assert scores == [oracle_sim(folded, sensor_marks[s], d, start) for s in matrix.sensor_ids], (f, tid)
+            checked.add((f, tid))
+    assert len(checked) > 1000
+    assert len({tid for _, tid in checked}) > 6
 
 
 def test_non_finite_sensor_feature_named_before_any_frame(monkeypatch):

@@ -211,7 +211,6 @@ def test_streaming_matches_batch_on_random_interleavings():
         t_start, a_start = rng.randint(0, 40), rng.randint(0, 5)
         ts = ExtremeStream(params.d, t_start)
         row = SensorRow.from_values([f"s{m}" for m in range(k)], a_vals, params, a_start)
-        row.release(0)
         scorer = PairScorer(ts, row)
         i = j = 0
         while i < n_t or j < n_a:
@@ -220,11 +219,11 @@ def test_streaming_matches_batch_on_random_interleavings():
                 i += 1
             else:
                 j += 1
-                row.release(j)
-            scorer.advance()
-        ts.flush()
-        row.finalized = math.inf  # every mark, the edge-truncated last ones too
-        scorer.advance()
+            scorer.advance(a_start + j - 1)  # the row's frames so far
+        t_marks = oracle_marks(t_vals, params.d)
+        assert ts.marks == t_marks[:len(ts.marks)]
+        ts.marks += t_marks[len(ts.marks):]  # the edge-truncated last marks too
+        scorer.advance(math.inf)
         got = scorer.score()
         assert len(got) == k
         for vals, score in zip(a_vals, got):
@@ -276,62 +275,50 @@ def test_row_marks_and_costs_match_literal_rules():
         assert marks.dtype == np.int8
         assert marks.tolist() == full
         row = SensorRow.from_values([f"s{m}" for m in range(k)], values, params, rng.randint(0, 30))
-        assert row.finalized == math.inf
         for m in range(k):
             for sign in (1, -1):
                 assert row.costs[sign][m].tolist() == [
                     oracle_mark_cost(full[m], c - pad, sign, pad, penalty) for c in range(n + 2 * pad)]
 
 
-def test_release_holds_folds_back_to_the_pushed_prefix():
-    """A row built from a whole run and released frame by frame lets
-    scorers use as many marks as a stream fed the same values has
-    finalized, and folds each trace mark as a row built from only the
-    values pushed so far would."""
+def test_advance_folds_as_a_row_of_the_frames_so_far_would():
+    """A scorer advanced through frame f has folded exactly the trace marks
+    at frames F <= f - half - dif_d, and folded them as a row built from
+    only the frames through f would."""
     rng = random.Random(41)
-    params = SimilarityParams()
-    n = 200
-    a_vals = np.array([[rng.random() for _ in range(n)] for _ in range(3)])
-    t_vals = [rng.random() for _ in range(n - 7)]
-    whole = SensorRow.from_values(["a", "b", "c"], a_vals, params)
-    a_stream = ExtremeStream(params.d)
-    ts_whole = ExtremeStream(params.d, 7)
-    s_whole = PairScorer(ts_whole, whole)
-    for f in range(n):
-        whole.release(f + 1)
-        a_stream.push(a_vals[0, f])
-        assert whole.finalized == len(a_stream.marks)
-        if f >= 7:
-            ts_whole.push(t_vals[f - 7])
-        s_whole.advance()
-        prefix = SensorRow.from_values(["a", "b", "c"], a_vals[:, :f + 1], params)
-        prefix.release(f + 1)
-        ts_prefix = ExtremeStream(params.d, 7)
-        for v in t_vals[:len(ts_whole)]:
-            ts_prefix.push(v)
-        s_prefix = PairScorer(ts_prefix, prefix)
-        s_prefix.advance()
-        assert (s_whole.n, s_whole.totals.tolist()) == (s_prefix.n, s_prefix.totals.tolist())
+    for params in (SimilarityParams(), SimilarityParams(d=7, dif_window=4)):
+        half, dif_d = (params.d + 1) // 2, params.dif_d
+        n, t0 = 200, 7
+        a_vals = np.array([[rng.random() for _ in range(n)] for _ in range(3)])
+        t_vals = [rng.random() for _ in range(n - t0)]
+        t_marks = oracle_marks(t_vals, params.d)
+        whole = SensorRow.from_values(["a", "b", "c"], a_vals, params)
+        ts_whole = ExtremeStream(params.d, t0)
+        s_whole = PairScorer(ts_whole, whole)
+        for f in range(n):
+            if f >= t0:
+                ts_whole.push(t_vals[f - t0])
+            s_whole.advance(f)
+            assert s_whole.n == sum(1 for x, m in enumerate(t_marks) if m and t0 + x + half + dif_d <= f)
+            prefix = SensorRow.from_values(["a", "b", "c"], a_vals[:, :f + 1], params)
+            ts_prefix = ExtremeStream(params.d, t0)
+            for v in t_vals[:len(ts_whole)]:
+                ts_prefix.push(v)
+            s_prefix = PairScorer(ts_prefix, prefix)
+            s_prefix.advance(f)
+            assert (s_whole.n, s_whole.totals.tolist()) == (s_prefix.n, s_prefix.totals.tolist())
 
 
 def test_finalized_marks_are_a_prefix_of_batch_marks():
     rng = random.Random(13)
     values = [rng.random() for _ in range(90)]
-    stream = ExtremeStream(10)
-    for v in values:
-        stream.push(v)
     full = oracle_marks(values, 10)
-    assert stream.marks == full[: len(stream.marks)]
-    stream.flush()
-    assert stream.marks == full
-
-
-def test_push_after_flush_rejected():
     stream = ExtremeStream(10)
-    stream.push(1.0)
-    stream.flush()
-    with pytest.raises(ValueError):
-        stream.push(2.0)
+    for k, v in enumerate(values):
+        stream.push(v)
+        assert stream.marks == full[:max(0, k + 1 - stream.half)]
+    assert len(stream.marks) == 85
+    assert list(detect_extremes(values, 10).values) == full
 
 
 
