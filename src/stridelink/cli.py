@@ -29,7 +29,7 @@ from dataclasses import fields, replace
 from . import fileio
 from .acc_features import FilterSpec
 from .evaluation import STAGES, TS_GATES, UndefinedRate, UnknownId, evaluate_run, ts_sweep
-from .model import validate_detection_log
+from .model import GroundTruth, validate_detection_log
 from .pipeline import PipelineParams, run_pipeline
 from .similarity import SimilarityParams
 from .simulator import PersonSpec, ScenarioConfig, ScenarioData, generate
@@ -135,14 +135,9 @@ def _pipeline_params(mc: dict) -> PipelineParams:
     tracer = _from_dict(TracerParams, mc.get("tracer", {}), "match.tracer")
     filter_spec = _from_dict(FilterSpec, mc.get("filter", {}), "match.filter")
     similarity = _from_dict(SimilarityParams, sim_keys, "match.similarity")
+    given = {key: float(mc[key]) for key in ("fps", "ts_gate") if key in mc}
     try:
-        return PipelineParams(
-            fps=float(mc.get("fps", 30.0)),
-            ts_gate=float(mc.get("ts_gate", 2.0)),
-            tracer=tracer,
-            filter_spec=filter_spec,
-            similarity=similarity,
-        )
+        return PipelineParams(tracer=tracer, filter_spec=filter_spec, similarity=similarity, **given)
     except (TypeError, ValueError) as exc:
         raise CliError(f"match: {exc}") from exc
 
@@ -161,6 +156,8 @@ def _load_match_inputs(cfg: dict, config_path: str):
     for key, kind in MATCH_KEYS.items():
         if key in mc and not _is_kind(mc[key], kind):
             raise CliError(f"match.{key} must be {_TYPE_NAMES[kind]}, got {json.dumps(mc[key])}")
+    if "sensors" in mc and "sensors_dir" in mc:
+        raise CliError("match: give sensors or sensors_dir, not both")
     base = os.path.dirname(os.path.abspath(config_path))
     det_path = mc.get("detections")
     if not det_path:
@@ -183,15 +180,12 @@ def _load_match_inputs(cfg: dict, config_path: str):
     truth = None
     if mc.get("truth"):
         truth = fileio.read_truth(_resolve(base, mc["truth"]))
+        GroundTruth({}, truth[0])  # one phone per person, checked before any pipeline pass
     return mc, frames, streams, truth
 
 
 def _stage_list(stage: str) -> tuple[str, ...]:
-    if stage == "both":
-        return STAGES
-    if stage in STAGES:
-        return (stage,)
-    raise CliError(f"unknown stage {stage!r}")
+    return STAGES if stage == "both" else (stage,)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

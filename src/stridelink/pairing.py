@@ -73,9 +73,9 @@ as a solve sums them, so its objective is bitwise the one a solve gives.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -208,84 +208,61 @@ def raw_pair(matrix: SimilarityMatrix) -> Assignment:
 
 class RefinedState:
     """Accumulated pairing evidence: how many frames the raw stage paired
-    each (trace, sensor) so far, as an int64 array with one row per trace
-    of `trace_ids` and one column per sensor of `sensor_ids`, each list in
-    id order; a trace or sensor has its row or column while it holds a
-    positive count. Beside it, a float array holds each pair's weight
-    log2(1 + count), set by math.log2 whenever the count changes (np.log2
+    each (trace, sensor), one dict of positive counts that callers read as
+    `counts`. `_layout` lays the solver's view out from it: `trace_ids` and
+    `sensor_ids`, the traces and sensors holding a count in id order, and
+    their weights log2(1 + count) as an array, by math.log2 (np.log2
     differs from it for some integers). The state also keeps the last
     refined pairing and its gap bound, so that `refined_pair` can skip a
     solve that cannot change the result (see the module docstring)."""
 
     def __init__(self, counts: Mapping[tuple[str, str], int] | None = None) -> None:
-        positive = {k: c for k, c in (counts or {}).items() if c > 0}
-        self.trace_ids = sorted({t for t, _ in positive})
-        self.sensor_ids = sorted({s for _, s in positive})
+        self._counts = {k: c for k, c in (counts or {}).items() if c > 0}
+        self._layout()
+
+    @property
+    def counts(self) -> Mapping[tuple[str, str], int]:
+        """The positive counts keyed by (trace, sensor)."""
+        return MappingProxyType(self._counts)
+
+    def _layout(self) -> None:
+        """Lay the ids, index maps and weights out from the counts; drop the held pairing."""
+        self.trace_ids = sorted({t for t, _ in self._counts})
+        self.sensor_ids = sorted({s for _, s in self._counts})
         self._rows = {t: i for i, t in enumerate(self.trace_ids)}
         self._cols = {s: j for j, s in enumerate(self.sensor_ids)}
-        self._counts = np.zeros((len(self.trace_ids), len(self.sensor_ids)), dtype=np.int64)
-        self._weights = np.zeros(self._counts.shape)
-        for (t, s), c in positive.items():
-            i, j = self._rows[t], self._cols[s]
-            self._counts[i, j] = c
-            self._weights[i, j] = math.log2(1 + c)
+        self._weights = np.zeros((len(self.trace_ids), len(self.sensor_ids)))
+        for (t, s), c in self._counts.items():
+            self._weights[self._rows[t], self._cols[s]] = math.log2(1 + c)
         # The last refined pairing while no frame since could have changed
         # it (else None), its pairs as (row, column) and its gap bound.
         self._held: Assignment | None = None
         self._held_at: list[tuple[int, int]] = []
         self._gap = -math.inf
 
-    @property
-    def counts(self) -> dict[tuple[str, str], int]:
-        """The positive counts keyed by (trace, sensor)."""
-        rows, cols = np.nonzero(self._counts)
-        return {(self.trace_ids[i], self.sensor_ids[j]): c
-                for i, j, c in zip(rows.tolist(), cols.tolist(), self._counts[rows, cols].tolist())}
-
     def retire_trace(self, trace_id: str) -> None:
-        """Forget a trace that ended; a dead trace must not keep a sensor
-        bound to it. A sensor left without counts loses its column."""
-        i = self._rows.pop(trace_id, None)
-        if i is None:
-            return
-        del self.trace_ids[i]
-        counts = np.delete(self._counts, i, axis=0)
-        weights = np.delete(self._weights, i, axis=0)
-        held = counts.any(axis=0)
-        if not held.all():
-            counts, weights = counts[:, held], weights[:, held]
-            self.sensor_ids = [s for s, keep in zip(self.sensor_ids, held.tolist()) if keep]
-            self._cols = {s: j for j, s in enumerate(self.sensor_ids)}
-        self._counts, self._weights = counts, weights
-        self._rows = {t: k for k, t in enumerate(self.trace_ids)}
-        self._held = None
-
-    def _add(self, trace_id: str, sensor_id: str) -> None:
-        """One more frame of evidence for the pair."""
-        i = self._rows.get(trace_id)
-        if i is None:
-            i = bisect.bisect(self.trace_ids, trace_id)
-            self.trace_ids.insert(i, trace_id)
-            self._counts = np.insert(self._counts, i, 0, axis=0)
-            self._weights = np.insert(self._weights, i, 0.0, axis=0)
-            self._rows = {t: k for k, t in enumerate(self.trace_ids)}
-        j = self._cols.get(sensor_id)
-        if j is None:
-            j = bisect.bisect(self.sensor_ids, sensor_id)
-            self.sensor_ids.insert(j, sensor_id)
-            self._counts = np.insert(self._counts, j, 0, axis=1)
-            self._weights = np.insert(self._weights, j, 0.0, axis=1)
-            self._cols = {s: k for k, s in enumerate(self.sensor_ids)}
-        c = self._counts.item(i, j) + 1
-        self._counts[i, j] = c
-        self._weights[i, j] = math.log2(1 + c)
+        """Forget a trace that ended: a dead trace must not keep a sensor bound to it."""
+        if trace_id in self._rows:
+            for key in [k for k in self._counts if k[0] == trace_id]:
+                del self._counts[key]
+            self._layout()
 
 
 def update_rsim(state: RefinedState, assignment: Assignment) -> RefinedState:
+    """One more frame of evidence for each raw pair; a pair whose trace or
+    sensor has no row or column yet lays the state out anew."""
     if state._held is not None and not assignment.pairs <= state._held.pairs:
         state._held = None
+    counts, rows, cols = state._counts, state._rows, state._cols
+    laid_out = True
     for trace_id, sensor_id in assignment.pairs:
-        state._add(trace_id, sensor_id)
+        c = counts[trace_id, sensor_id] = counts.get((trace_id, sensor_id), 0) + 1
+        if trace_id in rows and sensor_id in cols:
+            state._weights[rows[trace_id], cols[sensor_id]] = math.log2(1 + c)
+        else:
+            laid_out = False
+    if not laid_out:
+        state._layout()
     return state
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from stridelink import cli, evaluation
 from stridelink.cli import main
 
 SCENARIO = {
@@ -207,10 +208,14 @@ def rejected(tmp_path, capsys, command, cfg, message):
 
 
 @pytest.mark.parametrize("command", ["match", "sweep"])
-def test_truth_giving_one_person_two_sensors_rejected(tmp_path, capsys, command):
+def test_truth_giving_one_person_two_sensors_rejected(tmp_path, capsys, monkeypatch, command):
     cfg = simulated(tmp_path)
     edit_truth(tmp_path, lambda t: t["sensor_to_person"].update({"p1-acc": "p0"}))
+    runs = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda *args: runs.append(args))
+    monkeypatch.setattr(evaluation, "run_pipeline", lambda *args: runs.append(args))
     rejected(tmp_path, capsys, command, cfg, "person 'p0' carried by both 'p0-acc' and 'p1-acc'")
+    assert runs == []  # rejected before any pipeline pass
 
 
 @pytest.mark.parametrize("command", ["match", "sweep"])
@@ -235,7 +240,8 @@ def test_two_sensor_files_with_one_stem_rejected(tmp_path, capsys, command):
     (tmp_path / "other").mkdir()
     (tmp_path / "other" / "p0-acc.csv").write_bytes((tmp_path / "out" / "sensors" / "p1-acc.csv").read_bytes())
     sensors = ["out/sensors/p0-acc.csv", "out/sensors/p1-acc.csv", "other/p0-acc.csv"]
-    cfg = write_cfg(tmp_path, match={**MATCH, "sensors": sensors}, name="twin.json")
+    match = {"detections": MATCH["detections"], "sensors": sensors, "truth": MATCH["truth"]}
+    cfg = write_cfg(tmp_path, match=match, name="twin.json")
     rejected(tmp_path, capsys, command, cfg, "sensor id 'p0-acc' given more than once")
 
 
@@ -347,9 +353,10 @@ def test_match_value_of_wrong_json_type_reported(tmp_path, capsys, key, value, k
      "match.similarity.dif_window must be an integer or null, got 7.5"),
     ({"filter": {"order": 10.5}}, "match.filter.order must be an integer, got 10.5"),
     ({"filter": {"cutoff_hz": "15"}}, 'match.filter.cutoff_hz must be a number, got "15"'),
+    ({"sensors": ["out/sensors/p0-acc.csv"]}, "match: give sensors or sensors_dir, not both"),
 ], ids=["max_gap-float",
         "radius_factor-string", "d-float", "dif_window-float", "order-float",
-        "cutoff_hz-string"])
+        "cutoff_hz-string", "sensors-and-sensors_dir"])
 def test_match_section_field_of_wrong_type_reported(tmp_path, capsys, match, message):
     simulated(tmp_path)
     capsys.readouterr()

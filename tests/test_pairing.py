@@ -283,6 +283,22 @@ def test_retired_trace_releases_its_sensor():
     assert refined_pair(state).pairs == {("tB", "s0")}
 
 
+def test_retiring_an_uncounted_trace_keeps_the_skip(monkeypatch):
+    state = RefinedState({("tA", "s0"): 5, ("tB", "s1"): 5})
+    held = refined_pair(state)
+    solves = []
+    real = pairing._solve
+    monkeypatch.setattr(pairing, "_solve", lambda *args: solves.append(1) or real(*args))
+    update_rsim(state, Assignment(frozenset({("tA", "s0")}), 0.0))
+    state.retire_trace("tC")  # a trace the raw stage never paired
+    assert refined_pair(state).pairs == held.pairs
+    assert solves == []
+    # retiring a trace that holds counts lays the state out anew and solves
+    state.retire_trace("tB")
+    assert refined_pair(state).pairs == {("tA", "s0")}
+    assert len(solves) == 1
+
+
 def test_entrenched_pairing_survives_one_noisy_frame():
     state = RefinedState({("tA", "s0"): 30, ("tB", "s1"): 30})
     noisy = Assignment(frozenset({("tA", "s1"), ("tB", "s0")}), 2.0)
