@@ -47,13 +47,17 @@ _FIELD_KINDS = {"int": (int, False), "float": (float, False), "int | None": (int
 
 def _is_kind(value, kind) -> bool:
     """Whether a JSON value has the type `kind`; booleans are not numbers,
-    an int is a float but a float is not an int, and numbers are finite."""
+    an int is a float if float() can hold it, a float is not an int, and
+    numbers are finite."""
     if kind is list:
         return isinstance(value, list) and all(isinstance(p, str) for p in value)
     if kind in (int, float):
         if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
             return False
-        return isinstance(value, int) or math.isfinite(value)
+        try:
+            return kind is int or math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            return False
     return isinstance(value, kind)
 
 

@@ -69,10 +69,19 @@ of M gained weight. The solve sets g in one of three ways.
 
 A skipped frame returns M's pairs, with M's weights summed in row order
 as a solve sums them, so its objective is bitwise the one a solve gives.
+
+The raw stage skips a solve without any bound. Its scores move only
+when a trace scorer folds a new mark; on a frame where none moved and no
+gated trace came or went, the pipeline hands over last frame's
+`SimilarityMatrix` object, whose values are read-only, so they are the
+same bit for bit. `raw_pair` caches its last result keyed by the
+matrix's identity, and the cache keeps that matrix alive, so no new
+matrix can take its id: each matrix object costs one solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -201,8 +210,10 @@ def _assignment(pairs: list[tuple[int, int, float]], row_ids: Sequence[str],
     return Assignment(frozenset((row_ids[i], col_ids[j]) for i, j, _ in pairs), objective)
 
 
+@functools.lru_cache(maxsize=1)
 def raw_pair(matrix: SimilarityMatrix) -> Assignment:
-    """Frame-local pairing straight from the similarity scores."""
+    """Frame-local pairing straight from the similarity scores, solved
+    once per matrix object (see the module docstring)."""
     return solve_matrix(matrix.values, matrix.trace_ids, matrix.sensor_ids)
 
 

@@ -3,7 +3,10 @@
 Per frame: advance the tracer, extend each live trace's ratio stream
 (its boxes' height/width, filling the frames a trace went unseen by
 linear interpolation), then score each gated trace against every sensor
-through this frame and solve both pairing stages.
+through this frame and solve both pairing stages. Scores move only when
+a scorer folds a mark, so a frame whose gated traces are last frame's and
+whose score rows are the very arrays they were hands the raw stage last
+frame's matrix object again, which it has already solved.
 Both kinds of stream sit on one absolute frame grid: a frame index the
 log skips gets filled values in every stream, but no result of its own.
 Similarity is computed incrementally: each live trace has one record, a
@@ -114,6 +117,9 @@ def run_pipeline(
     scorers: dict[str, PairScorer] = {}
     state = RefinedState()
     results: list[FrameResult] = []
+    # last frame's matrix and the score rows it was built from
+    matrix: SimilarityMatrix | None = None
+    matrix_rows: list[np.ndarray] = []
 
     for frame in frames:
         f = frame.frame_index
@@ -140,8 +146,11 @@ def run_pipeline(
                 trace_ids.append(tid)
                 rows.append(scorer.score())
 
-        values = np.array(rows, dtype=np.float64).reshape(len(rows), len(sensor_ids))
-        raw = raw_pair(SimilarityMatrix(trace_ids, sensor_ids, values))
+        if matrix is None or trace_ids != matrix.trace_ids or any(
+                a is not b for a, b in zip(rows, matrix_rows)):
+            values = np.array(rows, dtype=np.float64).reshape(len(rows), len(sensor_ids))
+            matrix, matrix_rows = SimilarityMatrix(trace_ids, sensor_ids, values), rows
+        raw = raw_pair(matrix)
         update_rsim(state, raw)
         refined = refined_pair(state)
         results.append(FrameResult(f, box_traces, raw, refined))

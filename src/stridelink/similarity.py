@@ -144,11 +144,18 @@ def sim(t: TernarySequence, a: TernarySequence, params: SimilarityParams = Simil
 class SimilarityMatrix:
     """Scores of every gated (trace, sensor) pair in one frame:
     values[k, m] scores trace_ids[k] against sensor_ids[m], both id lists
-    in increasing order."""
+    in increasing order. A matrix never changes once built: it holds its
+    values as a read-only view, and its id lists are not to be altered.
+    It compares and hashes by identity."""
 
     trace_ids: Sequence[str]
     sensor_ids: Sequence[str]
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = self.values.view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @functools.cached_property
     def scores(self) -> dict[tuple[str, str], float]:
@@ -264,6 +271,9 @@ class PairScorer:
     The mark count n is shared; totals[k] sums sensor k's costs in mark
     order. Advanced through math.inf, score()[k] is the sim() of the
     trace's marks against sensor k's.
+
+    score() returns a read-only array that never changes once returned:
+    while n stands it is the same object, and a new mark brings a new one.
     """
 
     def __init__(self, trace_stream: ExtremeStream, row: SensorRow):
@@ -277,6 +287,7 @@ class PairScorer:
         self.n = 0
         self.totals = np.zeros(len(row.sensor_ids))
         self._scores = np.zeros(len(row.sensor_ids))
+        self._scores.flags.writeable = False
 
     def advance(self, through: float) -> None:
         """Fold every trace mark that frames through `through` finalize."""
@@ -300,7 +311,9 @@ class PairScorer:
         self._next = ready + 1
         if n != self.n:
             self.n = n
-            self._scores = n / np.maximum(totals, row.params.zero_denominator_floor)
+            scores = n / np.maximum(totals, row.params.zero_denominator_floor)
+            scores.flags.writeable = False
+            self._scores = scores
 
     def score(self) -> np.ndarray:
         """One score per sensor, in the row's order."""

@@ -284,7 +284,8 @@ def test_scenario_field_of_wrong_type_reported(tmp_path, capsys, scenario, messa
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
-@pytest.mark.parametrize("path", [5, [[1, 2, 3]], [["a", 1]]], ids=["number", "triple", "string"])
+@pytest.mark.parametrize("path", [5, [[1, 2, 3]], [["a", 1]], [[50, 10**400], [590, 380]]],
+                         ids=["number", "triple", "string", "int-beyond-float"])
 def test_scenario_path_of_wrong_shape_reported(tmp_path, capsys, path):
     scenario = {**SCENARIO, "persons": [{"person_id": "p0", "stride_frequency": 0.9, "path": path}]}
     cfg = write_cfg(tmp_path, scenario=scenario)
@@ -342,6 +343,16 @@ def test_match_value_of_wrong_json_type_reported(tmp_path, capsys, key, value, k
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: match.{key} must be {kind}, got {json.dumps(value)}"]
+
+
+@pytest.mark.parametrize("command", ["match", "sweep"])
+@pytest.mark.parametrize("key", ["fps", "ts_gate"])
+def test_number_beyond_float_range_reported(tmp_path, capsys, command, key):
+    """An integer that float() cannot hold is not a number: one error line, no traceback."""
+    simulated(tmp_path)
+    huge = 10**400
+    cfg = write_cfg(tmp_path, match={**MATCH, key: huge}, name="h.json")
+    rejected(tmp_path, capsys, command, cfg, f"match.{key} must be a number, got {huge}")
 
 
 @pytest.mark.parametrize("match, message", [

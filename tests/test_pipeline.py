@@ -1,12 +1,14 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
-from stridelink import pipeline
+from stridelink import pairing, pipeline
 from stridelink.acc_features import step_features
 from stridelink.fileio import write_assignments
 from stridelink.model import BoundingBox, DetectionFrame, SensorStream
+from stridelink.pairing import solve_matrix
 from stridelink.pipeline import PipelineParams, _push_sighting, run_pipeline
 from stridelink.similarity import ExtremeStream
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
@@ -201,6 +203,54 @@ def test_a_frame_never_sees_later_frames(monkeypatch):
         scores.clear()
         assert run_pipeline(data.frames[:k], data.streams, params).frames == full[:k], k
         assert scores == full_scores[:k], k
+
+
+@pytest.mark.parametrize("skipped", [False, True], ids=["every-frame", "skipped-indices"])
+def test_raw_stage_solves_each_distinct_matrix_once(monkeypatch, skipped):
+    """raw_pair runs once per frame on a matrix holding exactly the score
+    rows the frame's gated traces give, and the raw stage solves once per
+    distinct matrix object: a frame whose gated traces and score rows all
+    stand as they were reuses last frame's matrix and its solve. Each
+    frame's pairing equals a fresh solve, objective bit for bit."""
+    data = fragmenting_scene()
+    frames = [fr for fr in data.frames if not (skipped and fr.frame_index % 7 == 2)]
+    score, raw_pair, solve = pipeline.PairScorer.score, pipeline.raw_pair, pairing._solve
+    rows, matrices, raw_solves, in_raw = [], [], [], []
+
+    def scored(self):
+        rows.append(score(self))
+        return rows[-1]
+
+    def spy(matrix):
+        assert matrix.values.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+        assert len(matrix.trace_ids) == len(rows)
+        rows.clear()
+        matrices.append(matrix)
+        in_raw.append(True)
+        try:
+            return raw_pair(matrix)
+        finally:
+            in_raw.clear()
+
+    def counted(*args):
+        raw_solves.extend(in_raw)
+        return solve(*args)
+
+    monkeypatch.setattr(pipeline.PairScorer, "score", scored)
+    monkeypatch.setattr(pipeline, "raw_pair", spy)
+    monkeypatch.setattr(pairing, "_solve", counted)
+    run = run_pipeline(frames, data.streams)
+    assert len(matrices) == len(run.frames) == len(frames)
+    for fr, matrix in zip(run.frames, matrices):
+        fresh = solve_matrix(matrix.values, matrix.trace_ids, matrix.sensor_ids)
+        assert fr.raw.pairs == fresh.pairs, fr.frame_index
+        assert fr.raw.objective.hex() == fresh.objective.hex(), fr.frame_index
+    distinct = len({id(m) for m in matrices})
+    assert len(raw_solves) == distinct
+    assert 30 < distinct < len(matrices) - 30
+    if skipped:  # some matrix is reused across a skipped index
+        assert any(a.raw is b.raw and b.frame_index - a.frame_index > 1
+                   for a, b in zip(run.frames, run.frames[1:]) if a.raw.pairs)
 
 
 def test_a_trace_mark_first_counts_at_frame_f_plus_half_plus_dif_d(monkeypatch):

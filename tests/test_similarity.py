@@ -10,6 +10,7 @@ from stridelink.similarity import (
     ExtremeStream,
     PairScorer,
     SensorRow,
+    SimilarityMatrix,
     SimilarityParams,
     TernarySequence,
     detect_extremes,
@@ -232,6 +233,32 @@ def test_streaming_matches_batch_on_random_interleavings():
                 params.d, t_start, a_start,
             )
             assert score == expected
+
+
+def test_scores_and_matrix_values_are_read_only():
+    """The pipeline hands raw_pair a matrix it has solved again while the
+    score rows it was built from are the very arrays they were, so
+    neither a score row nor the matrix values may be written into."""
+    vals = [math.sin(k / 2.0) for k in range(80)]
+    row = SensorRow.from_values(["s0", "s1"], [vals, vals[::-1]])
+    scorer = PairScorer(ExtremeStream(10), row)
+    seen = [scorer.score()]
+    for f, v in enumerate(vals):
+        scorer.t.push(v)
+        scorer.advance(f)
+        if scorer.score() is not seen[-1]:
+            seen.append(scorer.score())
+    assert len(seen) > 3 and scorer.n == len(seen) - 1  # one new array per folded mark
+    for scores in seen:
+        with pytest.raises(ValueError, match="read-only"):
+            scores[0] = 1.0
+
+    values = np.array([[0.9, 0.2], [0.3, 0.8]])
+    matrix = SimilarityMatrix(["t0", "t1"], ["s0", "s1"], values)
+    with pytest.raises(ValueError, match="read-only"):
+        matrix.values[0, 1] = 5.0
+    assert values.flags.writeable  # the caller's own array is left as it was
+    assert matrix.values.tolist() == [[0.9, 0.2], [0.3, 0.8]]
 
 
 def test_row_checks_its_ids_and_block_shape():
