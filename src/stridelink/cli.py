@@ -35,30 +35,32 @@ from .similarity import SimilarityParams
 from .simulator import PersonSpec, ScenarioConfig, ScenarioData, generate
 from .tracer import TracerParams
 
-# Top-level keys of the "match" section, with the JSON type each must have.
-MATCH_KEYS = {"detections": str, "sensors": list, "sensors_dir": str, "truth": str,
-              "fps": float, "ts_gate": float, "tracer": dict, "filter": dict, "similarity": dict}
-_TYPE_NAMES = {str: "a string", list: "a list of strings", dict: "an object",
-               float: "a number", int: "an integer"}
-# Dataclass field annotations _from_dict checks: the JSON type each takes
-# and whether null is allowed. Fields annotated otherwise pass unchecked.
-_FIELD_KINDS = {"int": (int, False), "float": (float, False), "int | None": (int, True)}
+
+def _number(value) -> bool:
+    try:  # an int too large for a float is not a number
+        return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
-def _is_kind(value, kind) -> bool:
-    """Whether a JSON value has the type `kind`; booleans are not numbers,
-    an int is a float if float() can hold it, a float is not an int, and
-    numbers are finite."""
-    if kind is list:
-        return isinstance(value, list) and all(isinstance(p, str) for p in value)
-    if kind in (int, float):
-        if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
-            return False
-        try:
-            return kind is int or math.isfinite(value)
-        except OverflowError:  # an int too large for a float
-            return False
-    return isinstance(value, kind)
+# Every config field's JSON kind, keyed by the annotation text fields() reports (the
+# config modules postpone annotations): the name an error gives it, the test a value
+# must pass and the conversion it then gets. An annotation "X | None" also takes null.
+_KINDS = {
+    "str": ("a string", lambda v: isinstance(v, str), None),
+    "list[str]": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), None),
+    "dict": ("an object", lambda v: isinstance(v, dict), None),
+    "float": ("a number", _number, float),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), None),
+    "tuple[tuple[float, float], ...]": (
+        "a list of [x, y] number pairs",
+        lambda v: isinstance(v, list) and all(
+            isinstance(xy, list) and len(xy) == 2 and all(map(_number, xy)) for xy in v),
+        lambda v: tuple((float(x), float(y)) for x, y in v)),
+}
+# Top-level keys of the "match" section, annotated as a dataclass field would be.
+MATCH_KEYS = {"detections": "str", "sensors": "list[str]", "sensors_dir": "str", "truth": "str",
+              "fps": "float", "ts_gate": "float", "tracer": "dict", "filter": "dict", "similarity": "dict"}
 
 
 class CliError(ValueError):
@@ -78,21 +80,27 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _from_dict(cls, d: dict, where: str):
-    """Build a dataclass from a JSON object, rejecting unknown keys and
-    numeric fields of the wrong JSON type."""
-    annotations = {f.name: f.type for f in fields(cls)}
+def _checked(d: dict, annotations: dict[str, str], where: str) -> dict:
+    """`d` converted, once each key is in `annotations` and each value of the kind its annotation names."""
     unknown = set(d) - set(annotations)
     if unknown:
         raise CliError(f"{where}: unknown keys {sorted(unknown)}")
+    out = {}
     for name, value in d.items():
-        kind, nullable = _FIELD_KINDS.get(annotations[name], (None, False))
-        if kind is None or (nullable and value is None) or _is_kind(value, kind):
-            continue
-        expected = _TYPE_NAMES[kind] + (" or null" if nullable else "")
-        raise CliError(f"{where}.{name} must be {expected}, got {json.dumps(value)}")
+        kind = annotations[name].removesuffix(" | None")
+        nullable = kind != annotations[name]
+        label, test, convert = _KINDS[kind]
+        if not (nullable and value is None or test(value)):
+            raise CliError(f"{where}.{name} must be {label}{' or null' * nullable}, got {json.dumps(value)}")
+        out[name] = value if convert is None or value is None else convert(value)
+    return out
+
+
+def _from_dict(cls, d: dict, where: str, **built):
+    """Build a dataclass from a JSON object of its fields and the fields in `built`."""
+    values = _checked(d, {f.name: f.type for f in fields(cls)}, where)
     try:
-        return cls(**d)
+        return cls(**values, **built)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{where}: {exc}") from exc
 
@@ -109,37 +117,30 @@ def _scenario_config(cfg: dict, seed_override: int | None) -> ScenarioConfig:
     for k, p in enumerate(persons_raw):
         if not isinstance(p, dict):
             raise CliError(f"scenario.persons[{k}] must be an object")
-        p = dict(p)
-        if "path" in p:
-            path = p["path"]
-            if not (isinstance(path, list) and all(
-                    isinstance(xy, list) and len(xy) == 2 and all(_is_kind(v, float) for v in xy)
-                    for xy in path)):
-                raise CliError(f"scenario.persons[{k}].path must be a list of [x, y] number pairs, "
-                               f"got {json.dumps(path)}")
-            p["path"] = tuple((float(x), float(y)) for x, y in path)
-        persons.append(_from_dict(PersonSpec, p, f"scenario.persons[{k}]"))
+        person = _from_dict(PersonSpec, p, f"scenario.persons[{k}]")
+        sensor = person.sensor  # simulate writes sensors/<id>.csv; match's *.csv glob skips dot files
+        if not sensor or sensor.startswith(".") or any(sep and sep in sensor for sep in (os.sep, os.altsep)):
+            raise CliError(f"scenario.persons[{k}]: sensor id {json.dumps(sensor)} cannot name a file: "
+                           "it must be non-empty, not start with '.' and hold no path separator")
+        persons.append(person)
     if seed_override is not None:
         sc["seed"] = seed_override
-    return _from_dict(ScenarioConfig, {**sc, "persons": tuple(persons)}, "scenario")
+    return _from_dict(ScenarioConfig, sc, "scenario", persons=tuple(persons))
 
 
 def _pipeline_params(mc: dict) -> PipelineParams:
-    sim_keys = dict(mc.get("similarity", {}))
+    kinds = {f.name: f.type for f in fields(SimilarityParams)} | {"extreme_window": "int"}  # d's alias
+    sim_keys = _checked(mc.get("similarity", {}), kinds, "match.similarity")
     if "extreme_window" in sim_keys:
         if "d" in sim_keys:
             raise CliError("match.similarity: give d or its alias extreme_window, not both")
-        window = sim_keys.pop("extreme_window")
-        if not _is_kind(window, int):
-            raise CliError(f"match.similarity.extreme_window must be {_TYPE_NAMES[int]}, "
-                           f"got {json.dumps(window)}")
-        if window < 2:
-            raise CliError(f"match.similarity.extreme_window must be >= 2, got {window}")
-        sim_keys["d"] = window
+        sim_keys["d"] = sim_keys.pop("extreme_window")
+        if sim_keys["d"] < 2:
+            raise CliError(f"match.similarity.extreme_window must be >= 2, got {sim_keys['d']}")
     tracer = _from_dict(TracerParams, mc.get("tracer", {}), "match.tracer")
     filter_spec = _from_dict(FilterSpec, mc.get("filter", {}), "match.filter")
     similarity = _from_dict(SimilarityParams, sim_keys, "match.similarity")
-    given = {key: float(mc[key]) for key in ("fps", "ts_gate") if key in mc}
+    given = {key: mc[key] for key in ("fps", "ts_gate") if key in mc}
     try:
         return PipelineParams(tracer=tracer, filter_spec=filter_spec, similarity=similarity, **given)
     except (TypeError, ValueError) as exc:
@@ -154,18 +155,14 @@ def _load_match_inputs(cfg: dict, config_path: str):
     mc = cfg.get("match")
     if not isinstance(mc, dict):
         raise CliError('config needs a "match" object')
-    unknown = set(mc) - set(MATCH_KEYS)
-    if unknown:
-        raise CliError(f"match: unknown keys {sorted(unknown)}")
-    for key, kind in MATCH_KEYS.items():
-        if key in mc and not _is_kind(mc[key], kind):
-            raise CliError(f"match.{key} must be {_TYPE_NAMES[kind]}, got {json.dumps(mc[key])}")
+    mc = _checked(mc, MATCH_KEYS, "match")
     if "sensors" in mc and "sensors_dir" in mc:
         raise CliError("match: give sensors or sensors_dir, not both")
-    base = os.path.dirname(os.path.abspath(config_path))
     det_path = mc.get("detections")
     if not det_path:
         raise CliError('"match.detections" is required')
+    params = _pipeline_params(mc)  # the whole match section is checked before any input file is read
+    base = os.path.dirname(os.path.abspath(config_path))
     frames = fileio.read_detections(_resolve(base, det_path))
     report = validate_detection_log(frames)
     if not report.ok:
@@ -185,7 +182,7 @@ def _load_match_inputs(cfg: dict, config_path: str):
     if mc.get("truth"):
         truth = fileio.read_truth(_resolve(base, mc["truth"]))
         GroundTruth({}, truth[0])  # one phone per person, checked before any pipeline pass
-    return mc, frames, streams, truth
+    return params, frames, streams, truth
 
 
 def _stage_list(stage: str) -> tuple[str, ...]:
@@ -211,12 +208,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
+    if args.ts is not None and not (math.isfinite(args.ts) and args.ts > 0):
+        raise CliError("--ts must be finite and positive")
     cfg = _load_config(args.config)
-    mc, frames, streams, truth = _load_match_inputs(cfg, args.config)
-    params = _pipeline_params(mc)
+    params, frames, streams, truth = _load_match_inputs(cfg, args.config)
     if args.ts is not None:
-        if not (math.isfinite(args.ts) and args.ts > 0):
-            raise CliError("--ts must be finite and positive")
         params = replace(params, ts_gate=args.ts)
     stages = _stage_list(args.stage)
 
@@ -255,18 +251,17 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    mc, frames, streams, truth = _load_match_inputs(cfg, args.config)
-    if truth is None:
-        raise CliError("sweep needs ground truth: set match.truth")
-    params = _pipeline_params(mc)
-    stages = _stage_list(args.stage)
     try:
         ts_values = tuple(float(v) for v in args.ts.split(","))
     except ValueError as exc:
         raise CliError(f"--ts must be a comma-separated float list: {exc}") from exc
     if not ts_values or not all(math.isfinite(v) and v > 0 for v in ts_values):
         raise CliError("--ts gates must be finite and positive")
+    cfg = _load_config(args.config)
+    params, frames, streams, truth = _load_match_inputs(cfg, args.config)
+    if truth is None:
+        raise CliError("sweep needs ground truth: set match.truth")
+    stages = _stage_list(args.stage)
 
     sensor_owners, box_owners = truth
     scenario = ScenarioData(tuple(frames), tuple(streams), sensor_owners, box_owners)

@@ -141,8 +141,6 @@ def ts_sweep(
     """
     rows: list[TsSweepRow] = []
     for ts in ts_values:
-        if ts <= 0:
-            raise ValueError(f"ts gate must be positive, got {ts}")
         run = run_pipeline(scenario.frames, scenario.streams, replace(params, ts_gate=ts))
         evals = evaluate_run(run, scenario.sensor_owners, scenario.box_owners, stages)
         for stage in stages:

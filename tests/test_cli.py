@@ -1,10 +1,17 @@
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from stridelink import cli, evaluation
+from stridelink import cli, evaluation, fileio
+from stridelink.acc_features import FilterSpec
 from stridelink.cli import main
+from stridelink.similarity import SimilarityParams
+from stridelink.simulator import PersonSpec, ScenarioConfig
+from stridelink.tracer import TracerParams
 
 SCENARIO = {
     "persons": [
@@ -277,11 +284,44 @@ def test_invalid_scenario_value_reported(tmp_path, capsys):
     ({**SCENARIO, "seed": 1.5}, "scenario.seed must be an integer, got 1.5"),
     ({**SCENARIO, "persons": [{"person_id": "p0", "stride_frequency": "0.9"}]},
      'scenario.persons[0].stride_frequency must be a number, got "0.9"'),
-], ids=["seed-float", "stride_frequency-string"])
+    ({**SCENARIO, "persons": [{"person_id": ["p0"], "stride_frequency": 0.9}]},
+     'scenario.persons[0].person_id must be a string, got ["p0"]'),
+    ({**SCENARIO, "persons": [{"person_id": "p0", "stride_frequency": 0.9, "sensor_id": "7"},
+                              {"person_id": "p1", "stride_frequency": 1.3, "sensor_id": 7}]},
+     "scenario.persons[1].sensor_id must be a string or null, got 7"),
+    ({**SCENARIO, "persons": [{"person_id": None, "stride_frequency": 0.9}]},
+     "scenario.persons[0].person_id must be a string, got null"),
+], ids=["seed-float", "stride_frequency-string", "person_id-list", "sensor_id-int", "person_id-null"])
 def test_scenario_field_of_wrong_type_reported(tmp_path, capsys, scenario, message):
     cfg = write_cfg(tmp_path, scenario=scenario)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("person, sensor", [
+    ({"sensor_id": ""}, ""),
+    ({"sensor_id": ".hidden"}, ".hidden"),
+    ({"sensor_id": "x/y"}, "x/y"),
+    ({"person_id": "a/b"}, "a/b-acc"),
+], ids=["empty", "dot-file", "separator", "person_id-with-separator"])
+def test_sensor_id_that_cannot_name_its_file_rejected(tmp_path, capsys, person, sensor):
+    """simulate writes sensors/<id>.csv, and match's *.csv glob skips dot files."""
+    persons = [{"person_id": "p0", "stride_frequency": 0.9, **person}]
+    cfg = write_cfg(tmp_path, scenario={**SCENARIO, "persons": persons})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f'error: scenario.persons[0]: sensor id {json.dumps(sensor)} cannot name a file: '
+        "it must be non-empty, not start with '.' and hold no path separator"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_config_field_has_a_kind():
+    """No config field passes unchecked: each annotation names a kind in the table."""
+    annotations = [f.type for cls in (PersonSpec, ScenarioConfig, TracerParams, FilterSpec, SimilarityParams)
+                   for f in fields(cls) if (cls, f.name) != (ScenarioConfig, "persons")]
+    for annotation in annotations + list(cli.MATCH_KEYS.values()):
+        assert annotation.removesuffix(" | None") in cli._KINDS, annotation
 
 
 @pytest.mark.parametrize("path", [5, [[1, 2, 3]], [["a", 1]], [[50, 10**400], [590, 380]]],
@@ -376,10 +416,47 @@ def test_match_section_field_of_wrong_type_reported(tmp_path, capsys, match, mes
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("command", ["match", "sweep"])
+def test_config_checked_before_any_input_file_is_read(tmp_path, capsys, monkeypatch, command):
+    reads = []
+    monkeypatch.setattr(fileio, "read_detections", lambda *args: reads.append(args))
+    match = {"detections": "missing/detections.jsonl", "sensors_dir": "missing", "truth": "missing/truth.json",
+             "similarity": {"d": 10.5}}
+    cfg = write_cfg(tmp_path, scenario=None, match=match)
+    rejected(tmp_path, capsys, command, cfg, "match.similarity.d must be an integer, got 10.5")
+    assert reads == []
+
+
+@pytest.mark.parametrize("command, ts, message", [
+    ("match", "-1", "--ts must be finite and positive"),
+    ("sweep", "0,1", "--ts gates must be finite and positive"),
+], ids=["match", "sweep"])
+def test_gate_option_checked_before_any_input_file_is_read(tmp_path, capsys, command, ts, message):
+    cfg = write_cfg(tmp_path, scenario=None, match={**MATCH, "detections": "missing/detections.jsonl"})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "res"), f"--ts={ts}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    """The README's config simulates and matches, and its library example runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (config,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    (library,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    assert main(["match", "--config", str(cfg), "--out", str(tmp_path / "results")]) == 0
+    r_cd = json.loads((tmp_path / "results" / "summary.json").read_text())["r_cd"]
+    assert set(r_cd) == {"raw", "refined"} and all(isinstance(r, float) for r in r_cd.values())
+    exec(compile(library, "README.md", "exec"), {})
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0
+
+
 def test_match_numeric_fields_take_ints_and_null_window(tmp_path):
     simulated(tmp_path)
     match = {**MATCH, "fps": 30, "ts_gate": 2, "tracer": {"radius_factor": 1},
-             "filter": {"cutoff_hz": 15}, "similarity": {"dif_window": None}}
+             "filter": {"cutoff_hz": 15},
+             "similarity": {"dif_window": None, "no_match_penalty_factor": 2, "zero_denominator_floor": 1}}
     cfg = write_cfg(tmp_path, match=match, name="ok.json")
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
 
