@@ -28,7 +28,7 @@ from dataclasses import fields, replace
 
 from . import fileio
 from .acc_features import FilterSpec
-from .evaluation import STAGES, TS_GATES, UndefinedRate, UnknownId, evaluate_run, ts_sweep
+from .evaluation import STAGES, TS_GATES, UnknownId, evaluate_run, stage_rates, ts_sweep
 from .model import GroundTruth, validate_detection_log
 from .pipeline import PipelineParams, run_pipeline
 from .similarity import SimilarityParams
@@ -151,7 +151,7 @@ def _resolve(base_dir: str, path: str) -> str:
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
-def _load_match_inputs(cfg: dict, config_path: str):
+def _load_match_inputs(cfg: dict, config_path: str, need_truth: bool = False):
     mc = cfg.get("match")
     if not isinstance(mc, dict):
         raise CliError('config needs a "match" object')
@@ -162,6 +162,8 @@ def _load_match_inputs(cfg: dict, config_path: str):
     if not det_path:
         raise CliError('"match.detections" is required')
     params = _pipeline_params(mc)  # the whole match section is checked before any input file is read
+    if need_truth and not mc.get("truth"):
+        raise CliError("sweep needs ground truth: set match.truth")
     base = os.path.dirname(os.path.abspath(config_path))
     frames = fileio.read_detections(_resolve(base, det_path))
     report = validate_detection_log(frames)
@@ -226,25 +228,14 @@ def cmd_match(args: argparse.Namespace) -> int:
         "throughput_fps": run.throughput_fps,
     }
     if truth is not None:
-        sensor_owners, box_owners = truth
-        evals = evaluate_run(run, sensor_owners, box_owners, stages)
-        summary["r_cd"] = {}
-        for stage in stages:
-            try:
-                summary["r_cd"][stage] = evals[stage].r_cd()
-            except UndefinedRate:
-                summary["r_cd"][stage] = None
+        summary["r_cd"] = stage_rates(evaluate_run(run, *truth, stages))
 
     os.makedirs(args.out, exist_ok=True)
     fileio.write_assignments(os.path.join(args.out, "assignments.jsonl"), run, stages)
     fileio.write_summary(os.path.join(args.out, "summary.json"), summary)
     print(
         f"matched {len(run.frames)} frames at {run.throughput_fps:.0f} fps"
-        + "".join(
-            f", R_cd[{s}]={summary['r_cd'][s]:.4f}"
-            for s in stages
-            if truth is not None and summary["r_cd"][s] is not None
-        ),
+        + "".join(f", R_cd[{s}]={r:.4f}" for s, r in summary.get("r_cd", {}).items() if r is not None),
         file=sys.stderr,
     )
     return 0
@@ -258,18 +249,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not ts_values or not all(math.isfinite(v) and v > 0 for v in ts_values):
         raise CliError("--ts gates must be finite and positive")
     cfg = _load_config(args.config)
-    params, frames, streams, truth = _load_match_inputs(cfg, args.config)
-    if truth is None:
-        raise CliError("sweep needs ground truth: set match.truth")
-    stages = _stage_list(args.stage)
+    params, frames, streams, truth = _load_match_inputs(cfg, args.config, need_truth=True)
+    scenario = ScenarioData(tuple(frames), tuple(streams), *truth)
+    rows = ts_sweep(scenario, ts_values, params, _stage_list(args.stage))
 
-    sensor_owners, box_owners = truth
-    scenario = ScenarioData(tuple(frames), tuple(streams), sensor_owners, box_owners)
-    rows = ts_sweep(scenario, ts_values, params, stages)
-
-    seed = cfg.get("scenario", {}).get("seed") if isinstance(cfg.get("scenario"), dict) else None
     os.makedirs(args.out, exist_ok=True)
-    fileio.write_sweep_csv(os.path.join(args.out, "sweep.csv"), rows, seed)
+    fileio.write_sweep_csv(os.path.join(args.out, "sweep.csv"), rows)
     table = fileio.format_sweep_table(rows)
     with open(os.path.join(args.out, "sweep.txt"), "w", encoding="utf-8") as fh:
         fh.write(table)

@@ -121,6 +121,11 @@ def evaluate_run(
     return out
 
 
+def stage_rates(evals: Mapping[str, EvalCounters]) -> dict[str, float | None]:
+    """Each stage's R_cd, or None where the stage never paired anything."""
+    return {stage: counters.r_cd() if counters.total_id else None for stage, counters in evals.items()}
+
+
 @dataclass(frozen=True)
 class TsSweepRow:
     ts: float
@@ -143,10 +148,6 @@ def ts_sweep(
     for ts in ts_values:
         run = run_pipeline(scenario.frames, scenario.streams, replace(params, ts_gate=ts))
         evals = evaluate_run(run, scenario.sensor_owners, scenario.box_owners, stages)
-        for stage in stages:
-            try:
-                rate = evals[stage].r_cd()
-            except UndefinedRate:
-                rate = math.nan
-            rows.append(TsSweepRow(ts, stage, rate))
+        rows += [TsSweepRow(ts, stage, math.nan if rate is None else rate)
+                 for stage, rate in stage_rates(evals).items()]
     return rows

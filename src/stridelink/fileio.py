@@ -183,15 +183,11 @@ def _fmt_rate(r: float) -> str:
     return "nan" if math.isnan(r) else f"{r:.4f}"
 
 
-def write_sweep_csv(path: str, rows: Iterable[TsSweepRow], seed: int | None = None) -> None:
-    """Seed column stays empty when the scenario came from files rather
-    than the simulator."""
+def write_sweep_csv(path: str, rows: Iterable[TsSweepRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["ts_seconds", "stage", "r_cd", "seed"])
-        for row in rows:
-            writer.writerow([repr(row.ts), row.stage, _fmt_rate(row.r_cd),
-                             "" if seed is None else seed])
+        writer.writerow(["ts_seconds", "stage", "r_cd"])
+        writer.writerows([repr(row.ts), row.stage, _fmt_rate(row.r_cd)] for row in rows)
 
 
 def format_sweep_table(rows: Sequence[TsSweepRow]) -> str:

@@ -131,7 +131,7 @@ def run_pipeline(
                 scorer = scorers[trace_id] = PairScorer(ExtremeStream(params.similarity.d, f), row)
             _push_sighting(scorer.t, f, frame.boxes[ordinal].ratio)
 
-        for tid in [tid for tid in scorers if not tracker.traces[tid].active]:
+        for tid in tracker.retired:
             del scorers[tid]
             state.retire_trace(tid)
 

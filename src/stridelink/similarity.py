@@ -70,7 +70,7 @@ class SimilarityParams:
 
     @property
     def no_match_penalty(self) -> float:
-        return self.no_match_penalty_factor * self.dif_d
+        return float(self.no_match_penalty_factor * self.dif_d)  # an int factor must not make int tables
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,8 @@ class Tracker:
     """Traces of one camera stream, advanced one frame of detections at a time.
 
     `traces` holds every trace ever seen, in order of birth; only the live
-    ones are searched when a frame arrives.
+    ones are searched when a frame arrives. Frame indices must increase.
+    `retired` holds the ids of the traces the last update terminated.
     """
 
     def __init__(self, params: TracerParams = TracerParams()):
@@ -57,6 +58,8 @@ class Tracker:
         self.traces: dict[str, Trace] = {}
         self._live: dict[int, Trace] = {}  # trace ordinal -> live trace
         self._next_ordinal = 0
+        self._last_frame = -math.inf
+        self.retired: list[str] = []
 
     def update(self, frame: DetectionFrame) -> dict[int, str]:
         """Advance all live traces by one frame of detections.
@@ -65,25 +68,25 @@ class Tracker:
         matched greedily in ascending center-distance order, ties broken by
         older trace then lower box ordinal, so the partition is
         deterministic. Each trace gains at most one box and each box joins
-        at most one trace. Unmatched boxes open new traces; traces unseen
-        for more than max_gap frames are terminated.
+        at most one trace. Unmatched boxes open new traces. Traces unseen
+        for more than max_gap frames are terminated first and take no box.
 
         Returns a map of box ordinal -> trace_id covering every box of the
         frame.
         """
         f = frame.frame_index
         params = self.params
-        for trace in self._live.values():
-            if trace.last_seen >= f:
-                raise ValueError(
-                    f"frame {f} is not ahead of active trace {trace.trace_id} (last_seen {trace.last_seen})"
-                )
+        if f <= self._last_frame:
+            raise ValueError(f"frame {f} is not ahead of frame {self._last_frame}")
+        self._last_frame = f
+        retired = [k for k, t in self._live.items() if f - t.last_seen > params.max_gap]
+        for trace_ord in retired:
+            self._live.pop(trace_ord).active = False
+        self.retired = [TRACE_ID_FORMAT.format(trace_ord) for trace_ord in retired]
 
         candidates = []
         for trace_ord, trace in self._live.items():
             gap = f - trace.last_seen
-            if gap > params.max_gap:
-                continue
             last = trace.last_box
             radius = search_radius(last, gap, params.radius_factor)
             for ordinal, box in enumerate(frame.boxes):
@@ -111,8 +114,4 @@ class Tracker:
             trace = Trace(TRACE_ID_FORMAT.format(trace_ord), [(f, box)], last_seen=f)
             self.traces[trace.trace_id] = self._live[trace_ord] = trace
             assignments[ordinal] = trace.trace_id
-
-        for trace_ord in [k for k, t in self._live.items() if f - t.last_seen > params.max_gap]:
-            self._live.pop(trace_ord).active = False
-
         return assignments

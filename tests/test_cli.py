@@ -118,11 +118,30 @@ def test_sweep_writes_csv_and_table(tmp_path, capsys):
     res = tmp_path / "res"
     assert main(["sweep", "--config", cfg, "--out", str(res), "--ts", "1,2"]) == 0
     rows = (res / "sweep.csv").read_text().splitlines()
-    assert rows[0] == "ts_seconds,stage,r_cd,seed"
+    assert rows[0] == "ts_seconds,stage,r_cd"
     assert len(rows) == 5  # 2 gates x 2 stages
-    assert all(r.endswith(",11") for r in rows[1:])  # scenario seed carried over
     assert (res / "sweep.txt").exists()
     assert "TS(s)" in capsys.readouterr().out
+
+
+def test_sweep_rates_equal_match_rates(tmp_path):
+    cfg = simulated(tmp_path)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep"), "--ts", "1,2"]) == 0
+    rows = [r.split(",") for r in (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]]
+    for ts in ("1", "2"):
+        res = tmp_path / f"match{ts}"
+        assert main(["match", "--config", cfg, "--out", str(res), "--ts", ts]) == 0
+        r_cd = json.loads((res / "summary.json").read_text())["r_cd"]
+        assert [(stage, rate) for gate, stage, rate in rows if float(gate) == float(ts)] == [
+            (stage, f"{r_cd[stage]:.4f}") for stage in ("raw", "refined")]
+
+
+def test_gate_longer_than_the_log_gives_undefined_rates(tmp_path):
+    cfg = simulated(tmp_path)  # 8 s of walking: no pair covers the gate
+    assert main(["match", "--config", cfg, "--out", str(tmp_path / "m"), "--ts", "999"]) == 0
+    assert json.loads((tmp_path / "m" / "summary.json").read_text())["r_cd"] == {"raw": None, "refined": None}
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--ts", "999"]) == 0
+    assert (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:] == ["999.0,raw,nan", "999.0,refined,nan"]
 
 
 def test_missing_sensor_file_names_the_path(tmp_path, capsys):
@@ -424,6 +443,14 @@ def test_config_checked_before_any_input_file_is_read(tmp_path, capsys, monkeypa
              "similarity": {"d": 10.5}}
     cfg = write_cfg(tmp_path, scenario=None, match=match)
     rejected(tmp_path, capsys, command, cfg, "match.similarity.d must be an integer, got 10.5")
+    assert reads == []
+
+
+def test_sweep_truth_checked_before_any_input_file_is_read(tmp_path, capsys, monkeypatch):
+    reads = []
+    monkeypatch.setattr(fileio, "read_detections", lambda *args: reads.append(args))
+    cfg = write_cfg(tmp_path, scenario=None, match={"detections": "missing/detections.jsonl", "sensors_dir": "missing"})
+    rejected(tmp_path, capsys, "sweep", cfg, "sweep needs ground truth: set match.truth")
     assert reads == []
 
 

@@ -96,6 +96,16 @@ def test_params_validation():
         SimilarityParams(no_match_penalty_factor=0.0)
 
 
+def test_integer_penalty_factor_scores_as_its_float():
+    as_int, as_float = (SimilarityParams(no_match_penalty_factor=k) for k in (2, 2.0))
+    rows = [SensorRow(["a"], [[0, 1, 0, -1, 0]], params) for params in (as_int, as_float)]
+    for sign in (1, -1):
+        assert rows[0].costs[sign].dtype == np.float64
+        assert rows[0].costs[sign].tolist() == rows[1].costs[sign].tolist()
+    t, a = tern(40, p10=1, p25=-1), tern(40, p12=1)  # t's trough finds no trough in a
+    assert sim(t, a, as_int) == sim(t, a, as_float) != sim(t, a)
+
+
 # dif: the cost of one trace mark, seen through the score of a single mark
 
 

@@ -100,6 +100,27 @@ def test_frame_not_ahead_rejected():
         tracker.update(DetectionFrame(5, 10, [box(0, 0)]))
 
 
+def test_frame_behind_the_last_processed_one_rejected():
+    # frame 20 has no box, so no trace has seen it, yet frame 15 comes after it
+    tracker = Tracker()
+    tracker.update(DetectionFrame(10, 0, [box(0, 0)]))
+    tracker.update(DetectionFrame(20, 1, []))
+    with pytest.raises(ValueError, match="frame 15 is not ahead of frame 20"):
+        tracker.update(DetectionFrame(15, 2, [box(0, 0)]))
+
+
+def test_retired_names_the_traces_each_update_terminated():
+    tracker = Tracker(TracerParams(max_gap=2))
+    tracker.update(DetectionFrame(0, 0, [box(0, 0), box(300, 0)]))
+    tracker.update(DetectionFrame(1, 1, [box(0, 0)]))
+    retired = []
+    for f in range(2, 5):
+        tracker.update(DetectionFrame(f, f, []))
+        retired.append(tracker.retired)
+    assert retired == [[], ["t0001"], ["t0000"]]
+    assert not any(t.active for t in tracker.traces.values())
+
+
 def _random_frames(seed, n_frames=60, n_boxes=3):
     rng = random.Random(seed)
     pos = [(rng.uniform(0, 600), rng.uniform(0, 400)) for _ in range(n_boxes)]
