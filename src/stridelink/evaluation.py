@@ -59,8 +59,10 @@ class EvalCounters:
         return self.total_cd / self.total_id
 
 
-def accumulate(counters: EvalCounters, assignment: Assignment, truth: GroundTruth) -> EvalCounters:
-    """Fold one frame's pairing into the tallies."""
+def accumulate(counters: EvalCounters, assignment: Assignment, truth: GroundTruth,
+               multiplicity: int = 1) -> EvalCounters:
+    """Fold one frame's pairing into the tallies, or the pairing of
+    `multiplicity` frames that made the same one."""
     for trace_id, sensor_id in assignment.pairs:
         if sensor_id not in truth.sensor_to_person:
             raise UnknownId(f"sensor {sensor_id!r} not in ground truth")
@@ -68,9 +70,9 @@ def accumulate(counters: EvalCounters, assignment: Assignment, truth: GroundTrut
             raise UnknownId(f"trace {trace_id!r} not in ground truth")
         person = truth.sensor_to_person[sensor_id]
         trace_person = truth.trace_to_person[trace_id]
-        counters.n_id[person] = counters.n_id.get(person, 0) + 1
+        counters.n_id[person] = counters.n_id.get(person, 0) + multiplicity
         if trace_person == person:
-            counters.n_cd[person] = counters.n_cd.get(person, 0) + 1
+            counters.n_cd[person] = counters.n_cd.get(person, 0) + multiplicity
     return counters
 
 
@@ -105,7 +107,15 @@ def evaluate_run(
     box_owners: Mapping[int, Sequence[str]],
     stages: Sequence[str] = STAGES,
 ) -> dict[str, EvalCounters]:
-    """Tally every frame of a finished run for the requested stages."""
+    """Tally every frame of a finished run for the requested stages.
+
+    The work follows distinct pair sets, not frames: each stage's frames
+    are grouped by their pair set, and each set is folded in once,
+    weighted by its frame count. Sets are visited in the order they first
+    appear, so an id that ground truth lacks is reported as the per-frame
+    fold would report it: the first offending id of the first offending
+    frame.
+    """
     trace_truth = derive_trace_truth(
         {fr.frame_index: fr.box_traces for fr in run.frames}, box_owners
     )
@@ -114,9 +124,14 @@ def evaluate_run(
     for stage in stages:
         if stage not in STAGES:
             raise ValueError(f"unknown stage {stage!r}")
-        counters = EvalCounters()
+        # pair set -> [its first assignment, the frames that made it]
+        groups: dict[frozenset[tuple[str, str]], list] = {}
         for fr in run.frames:
-            accumulate(counters, fr.raw if stage == "raw" else fr.refined, truth)
+            assignment = fr.raw if stage == "raw" else fr.refined
+            groups.setdefault(assignment.pairs, [assignment, 0])[1] += 1
+        counters = EvalCounters()
+        for assignment, frames in groups.values():
+            accumulate(counters, assignment, truth, frames)
         out[stage] = counters
     return out
 

@@ -160,17 +160,23 @@ def read_truth(path: str) -> tuple[dict[str, str], dict[int, tuple[str, ...]]]:
 
 
 def write_assignments(path: str, run: MatchRun, stages: Sequence[str] = ("raw", "refined")) -> None:
-    """One JSON line per frame per stage: its pairs, sorted."""
+    """One JSON line per frame per stage: its pairs, sorted.
+
+    The work follows distinct pair sets, not frames: a walk's pairing
+    rarely changes, so each distinct set is encoded once and every line
+    is formatted around that string.
+    """
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    heads = {stage: f',"stage":{encode(stage)},"pairs":' for stage in stages}
+    encoded: dict[frozenset[tuple[str, str]], str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for fr in run.frames:
             for stage in stages:
                 assignment = fr.raw if stage == "raw" else fr.refined
-                fh.write(json.dumps({
-                    "frame": fr.frame_index,
-                    "stage": stage,
-                    "pairs": [list(p) for p in assignment.sorted_pairs()],
-                }, separators=(",", ":")))
-                fh.write("\n")
+                body = encoded.get(assignment.pairs)
+                if body is None:
+                    body = encoded[assignment.pairs] = encode([list(p) for p in assignment.sorted_pairs()])
+                fh.write(f'{{"frame":{fr.frame_index}{heads[stage]}{body}}}\n')
 
 
 def write_summary(path: str, summary: dict) -> None:

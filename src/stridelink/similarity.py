@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,6 +58,13 @@ class SimilarityParams:
     zero_denominator_floor: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("d", "dif_window"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    operator.index(value)  # numpy integers pass, floats do not
+                except TypeError:
+                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if self.dif_window is not None and self.dif_window < 1:

@@ -29,6 +29,17 @@ def two_person_config(seed: int = 11, f0: float = 0.9, f1: float = 1.2,
     )
 
 
+def fragmenting_scene():
+    """Six walkers in 60 px boxes with dropouts, for 240 frames: traces
+    fragment, so they are born late and die early."""
+    persons = tuple(
+        PersonSpec(f"p{k}", 0.6 + 0.3 * k, phase=0.7 * k, box_height=60.0,
+                   path=((50.0, 60.0 + 70.0 * k), (590.0, 60.0 + 70.0 * k)))
+        for k in range(6)
+    )
+    return generate(ScenarioConfig(persons=persons, duration=240 / 30.0, dropout_prob=0.1, seed=5))
+
+
 @pytest.fixture(scope="session")
 def separable_data():
     return generate(SEPARABLE)

@@ -8,6 +8,7 @@ weights, is not a reference.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,21 @@ def solve_lsap(weights):
     for (t, s), wv in weights.items():
         w[row_index[t], col_index[s]] = wv
     return solve_matrix(w, row_ids, col_ids)
+
+
+def oracle_assignment_lines(run, stages):
+    """Literal line formula of assignments.jsonl: one json.dumps per frame
+    per stage, in frame order, each line ending in a newline."""
+    lines = []
+    for fr in run.frames:
+        for stage in stages:
+            assignment = fr.raw if stage == "raw" else fr.refined
+            lines.append(json.dumps({
+                "frame": fr.frame_index,
+                "stage": stage,
+                "pairs": [list(p) for p in sorted(assignment.pairs)],
+            }, separators=(",", ":")) + "\n")
+    return lines
 
 
 def oracle_marks(seq, d):

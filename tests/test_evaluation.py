@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -14,10 +15,10 @@ from stridelink.evaluation import (
 )
 from stridelink.model import GroundTruth
 from stridelink.pairing import Assignment
-from stridelink.pipeline import FrameResult, MatchRun
+from stridelink.pipeline import FrameResult, MatchRun, run_pipeline
 from stridelink.simulator import generate
 
-from conftest import two_person_config
+from conftest import fragmenting_scene, two_person_config
 
 TRUTH = GroundTruth(
     trace_to_person={"tA": "p0", "tB": "p1"},
@@ -60,6 +61,14 @@ def test_swapped_pair_claims_without_correctness():
 def test_unpaired_frames_count_nowhere():
     c = accumulate(EvalCounters(), pairing(), TRUTH)
     assert c.total_id == 0
+
+
+def test_multiplicity_folds_a_pairing_as_that_many_frames():
+    for a in (pairing(("tA", "s0"), ("tB", "s1")), pairing(("tA", "s1"), ("tB", "s0"))):
+        per_frame = EvalCounters()
+        for _ in range(3):
+            accumulate(per_frame, a, TRUTH)
+        assert accumulate(EvalCounters(), a, TRUTH, 3) == per_frame
 
 
 def test_unknown_ids_rejected():
@@ -121,6 +130,76 @@ def test_evaluate_run_rejects_unknown_stage():
     run, owners = _mixed_run()
     with pytest.raises(ValueError):
         evaluate_run(run, {"s0": "p0", "s1": "p1"}, owners, stages=("polished",))
+
+
+def per_frame_fold(run, sensor_owners, box_owners, stage):
+    """The tally as one `accumulate` call per frame."""
+    trace_truth = derive_trace_truth({fr.frame_index: fr.box_traces for fr in run.frames}, box_owners)
+    truth = GroundTruth(trace_truth, dict(sensor_owners))
+    counters = EvalCounters()
+    for fr in run.frames:
+        accumulate(counters, fr.raw if stage == "raw" else fr.refined, truth)
+    return counters
+
+
+def churning_run(n_frames=600, seed=3):
+    """Four boxes a frame whose trace ids are replaced one by one, and a
+    raw stage that either makes a fresh random pairing of the live traces
+    or repeats an earlier pair set as a new `Assignment`, so equal sets
+    recur out of order. Box owners are random, so trace truth is a real
+    majority vote."""
+    rng = random.Random(seed)
+    people = ("p0", "p1", "p2", "p3")
+    sensor_owners = {f"s{k}": p for k, p in enumerate(people)}
+    frames, box_owners, made = [], {}, []
+    for f in range(n_frames):
+        live = [f"t{f // 30 + k:03d}" for k in range(4)]
+        box_owners[f] = tuple(rng.choice(people) for _ in live)
+        if made and rng.random() < 0.6:
+            pairs = frozenset(sorted(rng.choice(made)))  # equal, not the same object
+        else:
+            pairs = frozenset(p for p in zip(live, rng.sample(sorted(sensor_owners), 4)) if rng.random() < 0.7)
+            made.append(pairs)
+        refined = made[len(made) // 2]
+        frames.append(FrameResult(f, dict(enumerate(live)), Assignment(pairs, rng.random()),
+                                  Assignment(refined, 1.0)))
+    return MatchRun(frames, {}, 0.0), sensor_owners, box_owners
+
+
+def fragmenting_run():
+    data = fragmenting_scene()
+    return run_pipeline(data.frames, data.streams), data.sensor_owners, data.box_owners
+
+
+@pytest.mark.parametrize("make_run", [fragmenting_run, churning_run])
+def test_grouped_tally_equals_the_per_frame_fold(make_run):
+    run, sensor_owners, box_owners = make_run()
+    evals = evaluate_run(run, sensor_owners, box_owners)
+    for stage in STAGES:
+        sets = {(fr.raw if stage == "raw" else fr.refined).pairs for fr in run.frames}
+        assert 1 < len(sets) < len(run.frames)
+        expected = per_frame_fold(run, sensor_owners, box_owners, stage)
+        assert expected.total_id > 0
+        assert evals[stage].n_id == expected.n_id
+        assert evals[stage].n_cd == expected.n_cd
+
+
+def test_unknown_id_named_as_the_per_frame_fold_names_it():
+    """Frame 3 is the first to pair an id that truth lacks; a set with
+    another unknown id comes later but in more frames."""
+    known = pairing(("tA", "s0"))
+    picks = ([known, pairing(("tB", "s1")), known]
+             + [pairing(("tB", "s1"), ("tA", "ghost"))]
+             + [pairing(("phantom", "s0"))] * 5)
+    frames = [FrameResult(f, {0: "tA", 1: "tB"}, a, known) for f, a in enumerate(picks)]
+    run = MatchRun(frames, {}, 0.0)
+    sensor_owners = {"s0": "p0", "s1": "p1"}
+    box_owners = {f: ("p0", "p1") for f in range(len(frames))}
+    with pytest.raises(UnknownId) as per_frame:
+        per_frame_fold(run, sensor_owners, box_owners, "raw")
+    with pytest.raises(UnknownId) as grouped:
+        evaluate_run(run, sensor_owners, box_owners)
+    assert str(grouped.value) == str(per_frame.value) == "sensor 'ghost' not in ground truth"
 
 
 # length-gate sweep

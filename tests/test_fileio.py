@@ -25,6 +25,7 @@ from stridelink.pipeline import FrameResult, MatchRun
 from stridelink.simulator import generate
 
 from conftest import two_person_config
+from helpers import oracle_assignment_lines
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,39 @@ def test_assignments_one_line_per_frame_per_stage(tmp_path):
         '{"frame":7,"stage":"raw","pairs":[["t0000","s0"],["t0001","s1"]]}',
         '{"frame":7,"stage":"refined","pairs":[["t0000","s0"],["t0001","s1"]]}',
     ]
+
+
+def odd_id_run():
+    """Skipped frame indices, empty pairings, ids holding non-ASCII
+    characters, quotes and backslashes, and one pair set held by two
+    Assignments with different objectives."""
+    a = Assignment(frozenset({('tré"1', "s\\☃"), ("t\\2", 'ü"')}), 2.0)
+    b = Assignment(frozenset(sorted(a.pairs)), 1.5)
+    c = Assignment(frozenset({("t\\2", "s\\☃")}), 1.0)
+    empty = Assignment(frozenset(), 0.0)
+    frames = [FrameResult(0, {}, empty, empty), FrameResult(3, {}, a, empty),
+              FrameResult(4, {}, b, a), FrameResult(9, {}, c, b), FrameResult(12, {}, empty, c)]
+    return MatchRun(frames, {}, 0.0)
+
+
+@pytest.mark.parametrize("stages", [("raw", "refined"), ("raw",), ("refined",)])
+@pytest.mark.parametrize("scene", ["odd_ids", "simulated"])
+def test_assignment_bytes_match_the_literal_formula(tmp_path, monkeypatch, separable_run, scene, stages):
+    run = odd_id_run() if scene == "odd_ids" else separable_run
+    encoded = []
+    sorted_pairs = Assignment.sorted_pairs
+
+    def spy(assignment):
+        encoded.append(assignment.pairs)
+        return sorted_pairs(assignment)
+
+    monkeypatch.setattr(Assignment, "sorted_pairs", spy)
+    path = tmp_path / "assignments.jsonl"
+    write_assignments(str(path), run, stages)
+    assert path.read_bytes() == "".join(oracle_assignment_lines(run, stages)).encode("utf-8")
+    # each distinct pair set is encoded once, however many frames and Assignments hold it
+    held = {(fr.raw if stage == "raw" else fr.refined).pairs for fr in run.frames for stage in stages}
+    assert sorted(encoded, key=sorted) == sorted(held, key=sorted)
 
 
 def test_summary_round_trip(tmp_path):

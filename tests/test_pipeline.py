@@ -13,7 +13,7 @@ from stridelink.pipeline import PipelineParams, _push_sighting, run_pipeline
 from stridelink.similarity import ExtremeStream
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 
-from conftest import two_person_config
+from conftest import fragmenting_scene, two_person_config
 from helpers import oracle_marks, oracle_ratios, oracle_sim
 
 
@@ -163,17 +163,6 @@ def test_sensor_values_never_pushed_one_at_a_time(monkeypatch):
     spans = [t.entries[-1][0] - t.entries[0][0] + 1 for t in run.traces.values()]
     assert sum(spans) > sum(len(t.entries) for t in run.traces.values())  # some gaps were filled
     assert len(pushes) == sum(spans)
-
-
-def fragmenting_scene():
-    """Six walkers in 60 px boxes with dropouts, for 240 frames: traces
-    fragment, so they are born late and die early."""
-    persons = tuple(
-        PersonSpec(f"p{k}", 0.6 + 0.3 * k, phase=0.7 * k, box_height=60.0,
-                   path=((50.0, 60.0 + 70.0 * k), (590.0, 60.0 + 70.0 * k)))
-        for k in range(6)
-    )
-    return generate(ScenarioConfig(persons=persons, duration=240 / 30.0, dropout_prob=0.1, seed=5))
 
 
 def test_a_frame_never_sees_later_frames(monkeypatch):

@@ -96,6 +96,13 @@ def test_params_validation():
         SimilarityParams(no_match_penalty_factor=0.0)
 
 
+@pytest.mark.parametrize("field", ["d", "dif_window"])
+def test_non_integer_window_rejected(field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got 10.0"):
+        SimilarityParams(**{field: 10.0})
+    assert SimilarityParams(**{field: np.int64(10)}).dif_d == 10
+
+
 def test_integer_penalty_factor_scores_as_its_float():
     as_int, as_float = (SimilarityParams(no_match_penalty_factor=k) for k in (2, 2.0))
     rows = [SensorRow(["a"], [[0, 1, 0, -1, 0]], params) for params in (as_int, as_float)]
