@@ -129,17 +129,9 @@ def _scenario_config(cfg: dict, seed_override: int | None) -> ScenarioConfig:
 
 
 def _pipeline_params(mc: dict) -> PipelineParams:
-    kinds = {f.name: f.type for f in fields(SimilarityParams)} | {"extreme_window": "int"}  # d's alias
-    sim_keys = _checked(mc.get("similarity", {}), kinds, "match.similarity")
-    if "extreme_window" in sim_keys:
-        if "d" in sim_keys:
-            raise CliError("match.similarity: give d or its alias extreme_window, not both")
-        sim_keys["d"] = sim_keys.pop("extreme_window")
-        if sim_keys["d"] < 2:
-            raise CliError(f"match.similarity.extreme_window must be >= 2, got {sim_keys['d']}")
     tracer = _from_dict(TracerParams, mc.get("tracer", {}), "match.tracer")
     filter_spec = _from_dict(FilterSpec, mc.get("filter", {}), "match.filter")
-    similarity = _from_dict(SimilarityParams, sim_keys, "match.similarity")
+    similarity = _from_dict(SimilarityParams, mc.get("similarity", {}), "match.similarity")
     given = {key: mc[key] for key in ("fps", "ts_gate") if key in mc}
     try:
         return PipelineParams(tracer=tracer, filter_spec=filter_spec, similarity=similarity, **given)

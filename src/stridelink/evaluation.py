@@ -14,15 +14,16 @@ boxes the trace absorbed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import GroundTruth
 from .pairing import Assignment
-from .pipeline import MatchRun, PipelineParams, run_pipeline
+from .pipeline import FrameResult, MatchRun, PipelineParams, run_pipeline
 from .simulator import ScenarioData
 
-STAGES = ("raw", "refined")
+STAGES = ("raw", "refined")  # each is the name of the FrameResult field that holds its pairing
 TS_GATES = (0.33, 1.0, 2.0, 3.0, 4.0)  # seconds, the gates a sweep runs by default
 
 
@@ -34,6 +35,13 @@ class UnknownId(KeyError):
 
 class UndefinedRate(ValueError):
     """R_cd requested although no claims were ever made."""
+
+
+def stage_pairing(stage: str) -> Callable[[FrameResult], Assignment]:
+    """What reads the named stage's pairing from a frame's result."""
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
+    return operator.attrgetter(stage)
 
 
 @dataclass
@@ -122,12 +130,11 @@ def evaluate_run(
     truth = GroundTruth(trace_truth, dict(sensor_owners))
     out: dict[str, EvalCounters] = {}
     for stage in stages:
-        if stage not in STAGES:
-            raise ValueError(f"unknown stage {stage!r}")
+        pairing = stage_pairing(stage)
         # pair set -> [its first assignment, the frames that made it]
         groups: dict[frozenset[tuple[str, str]], list] = {}
         for fr in run.frames:
-            assignment = fr.raw if stage == "raw" else fr.refined
+            assignment = pairing(fr)
             groups.setdefault(assignment.pairs, [assignment, 0])[1] += 1
         counters = EvalCounters()
         for assignment, frames in groups.values():

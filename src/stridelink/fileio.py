@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.recfunctions import structured_to_unstructured
 
-from .evaluation import TsSweepRow
+from .evaluation import TsSweepRow, stage_pairing
 from .model import BoundingBox, DetectionFrame, SensorStream
 from .pipeline import MatchRun
 
@@ -148,14 +148,42 @@ def write_truth(path: str, sensor_owners: dict[str, str],
         fh.write("\n")
 
 
+# The JSON kind of each Python type json.loads gives.
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
 def read_truth(path: str) -> tuple[dict[str, str], dict[int, tuple[str, ...]]]:
+    """Sensor owners and per-frame box owners. sensor_to_person must be an
+    object of strings, and box_owners an object with a list of strings
+    under each frame index; a rejection names the file and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-            sensors = {str(k): str(v) for k, v in payload["sensor_to_person"].items()}
-            owners = {int(f): tuple(str(p) for p in ps) for f, ps in payload["box_owners"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from exc
+
+    def checked(value, kind: type, where: str):
+        if type(value) is not kind:
+            raise FormatError(f"{path}: {where} must be {_JSON_KINDS[kind]}, got {_JSON_KINDS[type(value)]}")
+        return value
+
+    for key in ("sensor_to_person", "box_owners"):
+        if key not in checked(payload, dict, "the file"):
+            raise FormatError(f"{path}: missing key {key!r}")
+        checked(payload[key], dict, key)
+    sensors = {sid: checked(person, str, f"sensor_to_person[{json.dumps(sid)}]")
+               for sid, person in payload["sensor_to_person"].items()}
+    owners = {}
+    for f, persons in payload["box_owners"].items():
+        if type(persons) is not list or not all(type(p) is str for p in persons):  # spelled out: once per frame
+            where = f"box_owners[{json.dumps(f)}]"
+            for k, person in enumerate(checked(persons, list, where)):
+                checked(person, str, f"{where}[{k}]")
+        try:
+            owners[int(f)] = tuple(persons)
+        except ValueError:
+            raise FormatError(f"{path}: box_owners key {json.dumps(f)} is not a frame index") from None
     return sensors, owners
 
 
@@ -167,16 +195,16 @@ def write_assignments(path: str, run: MatchRun, stages: Sequence[str] = ("raw", 
     is formatted around that string.
     """
     encode = json.JSONEncoder(separators=(",", ":")).encode
-    heads = {stage: f',"stage":{encode(stage)},"pairs":' for stage in stages}
+    heads = [(stage_pairing(stage), f',"stage":{encode(stage)},"pairs":') for stage in stages]
     encoded: dict[frozenset[tuple[str, str]], str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for fr in run.frames:
-            for stage in stages:
-                assignment = fr.raw if stage == "raw" else fr.refined
+            for pairing, head in heads:
+                assignment = pairing(fr)
                 body = encoded.get(assignment.pairs)
                 if body is None:
                     body = encoded[assignment.pairs] = encode([list(p) for p in assignment.sorted_pairs()])
-                fh.write(f'{{"frame":{fr.frame_index}{heads[stage]}{body}}}\n')
+                fh.write(f'{{"frame":{fr.frame_index}{head}{body}}}\n')
 
 
 def write_summary(path: str, summary: dict) -> None:

@@ -12,23 +12,22 @@ For a trace ternary sequence t with n marks, the score is
     score(t, a) = n / max(total_offset, floor)
 
 where total_offset sums, over every marked position x of t, the distance to
-the nearest same-sign mark of a within x-d..x+d, or a fixed penalty
-(1.5 * d by default) when none exists there. Plateaus are never marked
-(strict comparison), windows truncate at sequence edges rather than pad,
-and the score is asymmetric in its arguments by construction: n counts the
-trace's marks.
+the nearest same-sign mark of a within x-d..x+d, or the penalty 1.5 * d
+when none exists there. Plateaus are never marked (strict comparison),
+windows truncate at sequence edges rather than pad, and the score is
+asymmetric in its arguments by construction: n counts the trace's marks.
 
 The two sides are held differently. A trace gets one ratio per frame, so
 its marks come from an `ExtremeStream` fed one value at a time. The
 sensors' step features arrive as one block: `SensorRow.from_values` marks
 every sensor on one frame grid at once (`mark_extremes`), and the row
-tables the cost a trace mark of either sign would pay at each position, so
-that cost is worked out once per (sensor, position) rather than once per
-trace. `PairScorer` folds each trace mark into its running totals against
-the whole row with one vector add, and only once the frames the caller
-has reached finalize every sensor mark in the trace mark's search window;
-earlier terms are immutable, which keeps per-frame cost constant. `sim`
-runs the same engine on a one-sensor row built from its marks.
+tables the cost a trace mark of either sign would pay at each frame of
+that grid, so that cost is worked out once per (sensor, frame) rather
+than once per trace. `PairScorer` folds each trace mark into its running
+totals against the whole row with one vector add, and only once the
+frames the caller has reached finalize every sensor mark in the trace
+mark's search window; earlier terms are immutable, which keeps per-frame
+cost constant. `sim` runs the same engine on a one-sensor row.
 """
 
 from __future__ import annotations
@@ -43,42 +42,32 @@ from typing import Sequence
 import numpy as np
 
 
+# The floor of a score's denominator: half the smallest nonzero offset, so that a
+# perfectly aligned pair scores finitely and still above any pair a frame off.
+_SCORE_FLOOR = 0.5
+
+
 @dataclass(frozen=True)
 class SimilarityParams:
-    """Knobs for extremum detection and mark matching.
-
-    d is the extremum-detection window: a position must beat its
-    ceil(d/2) nearest neighbors on each side to be marked. The match
-    search range is dif_window positions per side (defaults to d).
-    """
+    """The one window d: a position is marked when it beats its ceil(d/2)
+    nearest neighbors on each side, and a trace mark looks d frames each
+    way for a sensor mark of its sign."""
 
     d: int = 10
-    dif_window: int | None = None
-    no_match_penalty_factor: float = 1.5
-    zero_denominator_floor: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("d", "dif_window"):
-            value = getattr(self, name)
-            if value is not None:
-                try:
-                    operator.index(value)  # numpy integers pass, floats do not
-                except TypeError:
-                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        try:
+            operator.index(self.d)  # numpy integers pass, floats do not
+        except TypeError:
+            raise ValueError(f"d must be an integer, got {self.d!r}") from None
         if self.d < 2:
             raise ValueError("d must be >= 2")
-        if self.dif_window is not None and self.dif_window < 1:
-            raise ValueError("dif_window must be >= 1")
-        if self.no_match_penalty_factor <= 0 or self.zero_denominator_floor <= 0:
-            raise ValueError("penalty factor and floor must be positive")
-
-    @property
-    def dif_d(self) -> int:
-        return self.d if self.dif_window is None else self.dif_window
 
     @property
     def no_match_penalty(self) -> float:
-        return float(self.no_match_penalty_factor * self.dif_d)  # an int factor must not make int tables
+        """What a trace mark with no same-sign mark within d frames costs:
+        half again the farthest match, so a miss costs more than any hit."""
+        return 1.5 * self.d
 
 
 @dataclass(frozen=True)
@@ -135,15 +124,15 @@ def detect_extremes(seq: Sequence[float], d: int = 10, start_frame: int = 0) -> 
 
 
 def sim(t: TernarySequence, a: TernarySequence, params: SimilarityParams = SimilarityParams()) -> float:
-    """Similarity of trace marks t against sensor marks a.
-
-    Zero when t has no marks. A perfectly aligned pair would divide by
-    zero; the floor (half the minimal nonzero offset) keeps the score
-    finite and order-preserving.
-    """
+    """Similarity of trace marks t against sensor marks a; zero when t has
+    no marks. The row's grid spans both sequences: a's marks sit at their
+    frames, and every other frame holds no mark."""
+    start = min(t.start_frame, a.start_frame)
+    marks = np.zeros((1, max(t.start_frame + len(t), a.start_frame + len(a)) - start), dtype=np.int8)
+    marks[0, a.start_frame - start:a.start_frame - start + len(a)] = a.values
     trace = ExtremeStream(params.d, t.start_frame)
     trace.marks = list(t.values)
-    scorer = PairScorer(trace, SensorRow(["a"], [a.values], params, a.start_frame))
+    scorer = PairScorer(trace, SensorRow(["a"], marks, params, start))
     scorer.advance(math.inf)
     return float(scorer.score()[0])
 
@@ -220,13 +209,10 @@ class SensorRow:
     sensors on one frame grid, given as an (S, N) array in sensor_ids
     order and tabled in one pass.
 
-    costs[+1] and costs[-1] are (S, N + 2 * pad) float64 tables, pad =
-    dif_d: the entry in column p + pad is the distance from position p
-    (frame start_frame + p) to the nearest same-sign mark within dif_d, or
-    the no-match penalty when there is none. The tables start pad
-    positions before the row so that a trace starting earlier gets the
-    same truncated-window costs; past their end every cost is the penalty.
-    The row never changes once built.
+    costs[+1] and costs[-1] are (S, N) float64 tables on the row's own
+    frames: the entry in column p is the distance from frame
+    start_frame + p to the nearest same-sign mark within d, or the
+    no-match penalty when there is none. The row never changes once built.
     """
 
     def __init__(self, sensor_ids: Sequence[str], marks, params: SimilarityParams = SimilarityParams(),
@@ -237,16 +223,14 @@ class SensorRow:
             raise ValueError(f"sensor id {repeated[0]!r} given more than once")
         self.params = params
         self.start_frame = start_frame
-        self.pad = pad = params.dif_d
         marks = np.asarray(marks, dtype=np.int8)
-        width = marks.shape[1] + 2 * pad
+        width = marks.shape[1]
         self.costs = {}
         for sign in (1, -1):
-            hit = np.zeros((len(self.sensor_ids), width), dtype=bool)
-            hit[:, pad:width - pad] = marks == sign
+            hit = marks == sign
             table = np.full(hit.shape, params.no_match_penalty)
-            # nearest last, so that it wins
-            for dist in range(pad, -1, -1):
+            # nearest last, so that it wins; no two frames of the row lie more than width - 1 apart
+            for dist in range(min(params.d, width - 1), -1, -1):
                 for shift in {-dist, dist}:
                     a, b = max(0, -shift), min(width, width - shift)
                     np.copyto(table[:, a:b], float(dist), where=hit[:, a + shift:b + shift])
@@ -274,11 +258,13 @@ class PairScorer:
     """Running similarity of one trace stream against a `SensorRow`.
 
     A trace mark at frame F is folded in, against every sensor at once,
-    once the caller has reached frame F + half + dif_d: the row's marks
-    through F + dif_d are then final, so every folded term is immutable.
+    once the caller has reached frame F + half + d: the row's marks
+    through F + d are then final, so every folded term is immutable.
     The mark count n is shared; totals[k] sums sensor k's costs in mark
     order. Advanced through math.inf, score()[k] is the sim() of the
-    trace's marks against sensor k's.
+    trace's marks against sensor k's. The trace lies on the row's grid: a
+    stream that starts before the row is rejected, and folding a mark
+    past the row's last frame raises IndexError.
 
     score() returns a read-only array that never changes once returned:
     while n stands it is the same object, and a new mark brings a new one.
@@ -288,9 +274,12 @@ class PairScorer:
         self.t = trace_stream
         self.row = row
         # cost-table column of trace position 0
-        self._col0 = trace_stream.start_frame - row.start_frame + row.pad
+        self._col0 = trace_stream.start_frame - row.start_frame
+        if self._col0 < 0:
+            raise ValueError(f"trace stream starts at frame {trace_stream.start_frame}, "
+                             f"before its row's first frame {row.start_frame}")
         # the frame from which trace position 0 may fold
-        self._first_fold = trace_stream.start_frame + (row.params.d + 1) // 2 + row.pad
+        self._first_fold = trace_stream.start_frame + (row.params.d + 1) // 2 + row.params.d
         self._next = 0
         self.n = 0
         self.totals = np.zeros(len(row.sensor_ids))
@@ -306,20 +295,15 @@ class PairScorer:
             return
         n = self.n
         totals = self.totals
-        width = row.costs[1].shape[1]
         for x in range(self._next, ready + 1):
             mark = t_marks[x]
             if mark != 0:
                 n += 1
-                col = x + self._col0
-                if 0 <= col < width:
-                    totals += row.costs[mark][:, col]
-                else:  # out of reach of every mark of the row
-                    totals += row.params.no_match_penalty
+                totals += row.costs[mark][:, x + self._col0]
         self._next = ready + 1
         if n != self.n:
             self.n = n
-            scores = n / np.maximum(totals, row.params.zero_denominator_floor)
+            scores = n / np.maximum(totals, _SCORE_FLOOR)
             scores.flags.writeable = False
             self._scores = scores
 

@@ -7,6 +7,7 @@ canonical pairing walk that re-solves for every candidate column. Only
 weights, is not a reference.
 """
 
+import collections
 import itertools
 import json
 import math
@@ -14,6 +15,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from stridelink.acc_features import step_features
 from stridelink.pairing import solve_matrix
 
 
@@ -108,6 +110,89 @@ def oracle_sim(t, a, d=10, t_start=0, a_start=0, penalty=None, floor=0.5):
     if n == 0:
         return 0.0
     return n / max(total, floor)
+
+
+def oracle_tracks(frames, params):
+    """Literal greedy tracer. Per frame: traces unseen for more than
+    max_gap frames die first; every (live trace, box) pair whose centers
+    lie within radius_factor * h * (frames since the trace's last box) is
+    a candidate; candidates are taken by increasing distance, then older
+    trace, then lower box ordinal, each trace and box at most once; every
+    box left over starts a trace. Returns, per frame, the box ordinal ->
+    trace id map and the ids of the live traces, and each trace's
+    sightings as (frame, box) pairs."""
+    sightings = {}  # trace id -> its (frame, box) pairs, in order of birth
+    dead = set()
+    per_frame = []
+    for frame in frames:
+        f = frame.frame_index
+        for tid, seen in sightings.items():
+            if f - seen[-1][0] > params.max_gap:
+                dead.add(tid)
+        live = [tid for tid in sightings if tid not in dead]
+        candidates = []
+        for age, tid in enumerate(live):
+            last_f, last = sightings[tid][-1]
+            for k, box in enumerate(frame.boxes):
+                dist = math.hypot(box.cx - last.cx, box.cy - last.cy)
+                if dist <= params.radius_factor * last.h * (f - last_f):
+                    candidates.append((dist, age, k, tid))
+        box_traces = {}
+        for _, _, k, tid in sorted(candidates):
+            if k not in box_traces and tid not in box_traces.values():
+                box_traces[k] = tid
+        for k, box in enumerate(frame.boxes):
+            if k not in box_traces:
+                box_traces[k] = f"t{len(sightings):04d}"
+                sightings[box_traces[k]] = []
+            sightings[box_traces[k]].append((f, box))
+        per_frame.append((box_traces, [tid for tid in sightings if tid not in dead]))
+    return per_frame, sightings
+
+
+def oracle_pipeline(frames, streams, params):
+    """Each frame's (box_traces, raw, refined) recomputed from scratch by
+    the literal rules, raw and refined as (pairs, objective).
+
+    On frame f, with f0 the first frame of the log and the gate
+    ts_gate * fps: once f - f0 + 1 reaches the gate, each live trace whose
+    ratios (`oracle_ratios` of its sightings through f) number at least
+    the gate scores against every sensor. It scores the marks of its
+    ratios that f finalizes (those at least ceil(d/2) values before the
+    last), keeping a mark at frame F only once F + ceil(d/2) + d <= f,
+    against the marks of the sensor's step features through f. The raw
+    stage pairs those scores; every raw pair of frames through f whose
+    trace is still live counts one, and the refined stage pairs
+    log2(1 + count)."""
+    sim_params = params.similarity
+    d, half = sim_params.d, (sim_params.d + 1) // 2
+    gate = params.ts_gate * params.fps
+    f0 = frames[0].frame_index
+    clock = [(fr.frame_index, fr.timestamp) for fr in frames]
+    features = {s.sensor_id: step_features(s, clock, params.filter_spec).tolist() for s in streams}
+    per_frame, sightings = oracle_tracks(frames, params.tracer)
+    out = []
+    raws = []
+    for frame, (box_traces, live) in zip(frames, per_frame):
+        f = frame.frame_index
+        scores = {}
+        if features and f - f0 + 1 >= gate:
+            sensor_marks = {sid: oracle_marks(v[:f - f0 + 1], d) for sid, v in features.items()}
+            for tid in live:
+                seen = [(g, box.h / box.w) for g, box in sightings[tid] if g <= f]
+                ratios = oracle_ratios(seen)
+                if len(ratios) < gate:
+                    continue
+                start = seen[0][0]
+                final = oracle_marks(ratios, d)[:max(0, len(ratios) - half)]
+                folded = [m if start + x + half + d <= f else 0 for x, m in enumerate(final)]
+                for sid, marks in sensor_marks.items():
+                    scores[tid, sid] = oracle_sim(folded, marks, d, start, f0)
+        raws.append(oracle_lsap(scores) if scores else (frozenset(), 0.0))
+        counts = collections.Counter(pair for pairs, _ in raws for pair in pairs if pair[0] in live)
+        refined = oracle_lsap({k: math.log2(1 + c) for k, c in counts.items()}) if counts else (frozenset(), 0.0)
+        out.append((box_traces, raws[-1], refined))
+    return out
 
 
 def brute_force_lsap(weights):

@@ -245,6 +245,14 @@ def test_truth_giving_one_person_two_sensors_rejected(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("command", ["match", "sweep"])
+def test_truth_of_wrong_json_type_rejected(tmp_path, capsys, command):
+    cfg = simulated(tmp_path)
+    edit_truth(tmp_path, lambda t: t.update(box_owners=[["p0", "p1"]]))
+    path = tmp_path / "out" / "truth.json"
+    rejected(tmp_path, capsys, command, cfg, f"{path}: box_owners must be an object, got a list")
+
+
+@pytest.mark.parametrize("command", ["match", "sweep"])
 def test_paired_sensor_missing_from_truth_rejected(tmp_path, capsys, command):
     cfg = simulated(tmp_path)
     edit_truth(tmp_path, lambda t: t["sensor_to_person"].pop("p1-acc"))
@@ -282,14 +290,6 @@ def test_unknown_similarity_key_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, match={**MATCH, "similarity": {"bogus": 3}}, name="s.json")
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
     assert "bogus" in capsys.readouterr().err
-
-
-def test_similarity_window_alias_accepted(tmp_path):
-    simulated(tmp_path)
-    cfg = write_cfg(
-        tmp_path, match={**MATCH, "similarity": {"extreme_window": 8}}, name="w.json"
-    )
-    assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
 
 
 def test_invalid_scenario_value_reported(tmp_path, capsys):
@@ -354,18 +354,19 @@ def test_scenario_path_of_wrong_shape_reported(tmp_path, capsys, path):
         f"got {json.dumps(path)}"]
 
 
-@pytest.mark.parametrize("similarity, message", [
-    ({"extreme_window": 10.5}, "match.similarity.extreme_window must be an integer, got 10.5"),
-    ({"d": 8, "extreme_window": 12},
-     "match.similarity: give d or its alias extreme_window, not both"),
-    ({"extreme_window": 1}, "match.similarity.extreme_window must be >= 2, got 1"),
-], ids=["alias-float", "alias-and-d", "alias-below-range"])
-def test_similarity_window_alias_errors_name_the_alias(tmp_path, capsys, similarity, message):
-    simulated(tmp_path)
-    capsys.readouterr()
-    cfg = write_cfg(tmp_path, match={**MATCH, "similarity": similarity}, name="a.json")
-    assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+@pytest.mark.parametrize("key, value", [
+    ("extreme_window", 10), ("dif_window", 10), ("no_match_penalty_factor", 1.5), ("zero_denominator_floor", 0.5),
+])
+def test_similarity_keys_beyond_the_window_rejected(tmp_path, capsys, monkeypatch, key, value):
+    """The similarity section holds the one window d; a second name for it
+    or another similarity knob is an unknown key, named before any input
+    file is read."""
+    reads = []
+    monkeypatch.setattr(fileio, "read_detections", lambda *args: reads.append(args))
+    match = {**MATCH, "similarity": {"d": 10, key: value}}
+    cfg = write_cfg(tmp_path, scenario=None, match=match)
+    rejected(tmp_path, capsys, "match", cfg, f"match.similarity: unknown keys [{key!r}]")
+    assert reads == []
 
 
 def test_unknown_match_key_rejected(tmp_path, capsys):
@@ -419,13 +420,11 @@ def test_number_beyond_float_range_reported(tmp_path, capsys, command, key):
     ({"tracer": {"radius_factor": "0.1"}},
      'match.tracer.radius_factor must be a number, got "0.1"'),
     ({"similarity": {"d": 10.5}}, "match.similarity.d must be an integer, got 10.5"),
-    ({"similarity": {"dif_window": 7.5}},
-     "match.similarity.dif_window must be an integer or null, got 7.5"),
     ({"filter": {"order": 10.5}}, "match.filter.order must be an integer, got 10.5"),
     ({"filter": {"cutoff_hz": "15"}}, 'match.filter.cutoff_hz must be a number, got "15"'),
     ({"sensors": ["out/sensors/p0-acc.csv"]}, "match: give sensors or sensors_dir, not both"),
 ], ids=["max_gap-float",
-        "radius_factor-string", "d-float", "dif_window-float", "order-float",
+        "radius_factor-string", "d-float", "order-float",
         "cutoff_hz-string", "sensors-and-sensors_dir"])
 def test_match_section_field_of_wrong_type_reported(tmp_path, capsys, match, message):
     simulated(tmp_path)
@@ -479,11 +478,20 @@ def test_readme_examples_run(tmp_path, capsys):
     assert 0.0 <= float(capsys.readouterr().out) <= 1.0
 
 
+def test_readme_names_every_integer_field():
+    """The README's list of integer config fields is the set of config
+    fields annotated int."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (listed,) = re.findall(r"An integer field\s+\(([^)]*)\)", readme)
+    integer = {f.name for cls in (TracerParams, FilterSpec, SimilarityParams, ScenarioConfig, PersonSpec)
+               for f in fields(cls) if f.type.removesuffix(" | None") == "int"}
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(integer)
+
+
 def test_match_numeric_fields_take_ints_and_null_window(tmp_path):
     simulated(tmp_path)
     match = {**MATCH, "fps": 30, "ts_gate": 2, "tracer": {"radius_factor": 1},
-             "filter": {"cutoff_hz": 15},
-             "similarity": {"dif_window": None, "no_match_penalty_factor": 2, "zero_denominator_floor": 1}}
+             "filter": {"cutoff_hz": 15}, "similarity": {"d": 10}}
     cfg = write_cfg(tmp_path, match=match, name="ok.json")
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
 

@@ -64,6 +64,36 @@ def test_truth_round_trip(tmp_path, data):
     assert owners == data.box_owners
 
 
+@pytest.mark.parametrize("edit, problem", [
+    (lambda t: t["box_owners"].update({"0": "p0"}), 'box_owners["0"] must be a list, got a string'),
+    (lambda t: t["box_owners"].update({"0": ["p0", None]}), 'box_owners["0"][1] must be a string, got null'),
+    (lambda t: t["box_owners"].update({"0": ["p0", 1]}), 'box_owners["0"][1] must be a string, got a number'),
+    (lambda t: t["box_owners"].update({"x": []}), 'box_owners key "x" is not a frame index'),
+    (lambda t: t["sensor_to_person"].update({"p0-acc": None}), 'sensor_to_person["p0-acc"] must be a string, got null'),
+    (lambda t: t["sensor_to_person"].update({"p0-acc": 0}), 'sensor_to_person["p0-acc"] must be a string, got a number'),
+    (lambda t: t.update(box_owners=[["p0"]]), "box_owners must be an object, got a list"),
+    (lambda t: t.update(sensor_to_person=None), "sensor_to_person must be an object, got null"),
+    (lambda t: t.pop("box_owners"), "missing key 'box_owners'"),
+], ids=["owners-string", "owner-null", "owner-number", "frame-key", "person-null", "person-number",
+        "owners-list", "sensors-null", "owners-missing"])
+def test_truth_of_wrong_json_type_named_with_key(tmp_path, data, edit, problem):
+    path = tmp_path / "truth.json"
+    write_truth(str(path), data.sensor_owners, data.box_owners)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError) as info:
+        read_truth(str(path))
+    assert str(info.value) == f"{path}: {problem}"
+
+
+def test_truth_that_is_not_an_object_rejected(tmp_path):
+    path = tmp_path / "truth.json"
+    path.write_text("[]")
+    with pytest.raises(FormatError, match="the file must be an object, got a list$"):
+        read_truth(str(path))
+
+
 def test_malformed_detection_line_named_with_position(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
@@ -177,6 +207,15 @@ def test_assignments_one_line_per_frame_per_stage(tmp_path):
         '{"frame":7,"stage":"raw","pairs":[["t0000","s0"],["t0001","s1"]]}',
         '{"frame":7,"stage":"refined","pairs":[["t0000","s0"],["t0001","s1"]]}',
     ]
+
+
+def test_unknown_stage_named_before_any_file_is_opened(tmp_path):
+    a = Assignment(frozenset({("t0000", "s0")}), 1.0)
+    run = MatchRun([FrameResult(0, {}, a, Assignment(frozenset(), 0.0))], {}, 0.0)
+    path = tmp_path / "assignments.jsonl"
+    with pytest.raises(ValueError, match="unknown stage 'polished'"):
+        write_assignments(str(path), run, ("raw", "polished"))
+    assert not path.exists()
 
 
 def odd_id_run():

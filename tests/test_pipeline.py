@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from stridelink.fileio import write_assignments
 from stridelink.model import BoundingBox, DetectionFrame, SensorStream
 from stridelink.pairing import solve_matrix
 from stridelink.pipeline import PipelineParams, _push_sighting, run_pipeline
-from stridelink.similarity import ExtremeStream
+from stridelink.similarity import ExtremeStream, SimilarityParams
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 
 from conftest import fragmenting_scene, two_person_config
-from helpers import oracle_marks, oracle_ratios, oracle_sim
+from helpers import oracle_marks, oracle_pipeline, oracle_ratios, oracle_sim
 
 
 def box_with_ratio(r):
@@ -44,6 +45,16 @@ def test_empty_input_yields_empty_run():
     assert run.frames == []
     assert run.traces == {}
     assert run.throughput_fps == 0.0
+
+
+def test_frames_without_sensors_pair_nothing_and_keep_every_trace():
+    data = fragmenting_scene()
+    run = run_pipeline(data.frames, [])
+    with_sensors = run_pipeline(data.frames, data.streams)
+    assert [fr.frame_index for fr in run.frames] == [fr.frame_index for fr in data.frames]
+    assert all(fr.raw.pairs == fr.refined.pairs == frozenset() for fr in run.frames)
+    assert [fr.box_traces for fr in run.frames] == [fr.box_traces for fr in with_sensors.frames]
+    assert run.traces == with_sensors.traces and len(run.traces) > 6
 
 
 def test_no_pair_claimed_before_the_length_gate():
@@ -245,7 +256,7 @@ def test_raw_stage_solves_each_distinct_matrix_once(monkeypatch, skipped):
 def test_a_trace_mark_first_counts_at_frame_f_plus_half_plus_dif_d(monkeypatch):
     """Every score the pipeline pairs from follows the literal rule: on
     frame f, a gated trace scores the marks its own ratios have finalized
-    at frames F with F + half + dif_d <= f, against every sensor's marks."""
+    at frames F with F + half + d <= f, against every sensor's marks."""
     data = fragmenting_scene()
     matrices = []
     raw_pair = pipeline.raw_pair
@@ -257,7 +268,7 @@ def test_a_trace_mark_first_counts_at_frame_f_plus_half_plus_dif_d(monkeypatch):
     monkeypatch.setattr(pipeline, "raw_pair", spy)
     params = PipelineParams()
     run = run_pipeline(data.frames, data.streams, params)
-    d, dif_d = params.similarity.d, params.similarity.dif_d
+    d = params.similarity.d
     half = (d + 1) // 2
     clock = [(fr.frame_index, fr.timestamp) for fr in data.frames]
     sensor_marks = {s.sensor_id: oracle_marks(step_features(s, clock).tolist(), d) for s in data.streams}
@@ -275,11 +286,47 @@ def test_a_trace_mark_first_counts_at_frame_f_plus_half_plus_dif_d(monkeypatch):
             start = sightings[0][0]
             last = max(g for g, _ in sightings if g <= f)
             final = marks[:max(0, last - start + 1 - half)]
-            folded = [m if start + x + half + dif_d <= f else 0 for x, m in enumerate(final)]
+            folded = [m if start + x + half + d <= f else 0 for x, m in enumerate(final)]
             assert scores == [oracle_sim(folded, sensor_marks[s], d, start) for s in matrix.sensor_ids], (f, tid)
             checked.add((f, tid))
     assert len(checked) > 1000
     assert len({tid for _, tid in checked}) > 6
+
+
+def oracle_scene(seed):
+    """2-4 walkers over 60-240 frames with dropout, about one frame index
+    in twenty skipped, and walkers that enter late or leave early, so that
+    traces are born late and die early; the gate and d vary too."""
+    rng = random.Random(seed)
+    n_frames = rng.randint(60, 240)
+    persons = tuple(
+        PersonSpec(f"p{k}", rng.uniform(0.6, 1.8), phase=rng.uniform(0.0, 6.0), box_height=rng.choice((60.0, 120.0)),
+                   path=((50.0, 60.0 + 120.0 * k), (590.0, 60.0 + 120.0 * k)))
+        for k in range(rng.randint(2, 4)))
+    data = generate(ScenarioConfig(persons=persons, duration=n_frames / 30.0, dropout_prob=0.1, seed=seed))
+    # each walker is shown from the first frame or a later one, until a late frame or the end
+    shown = {p.person_id: (rng.choice((0, rng.randint(1, n_frames // 3))), rng.randint(n_frames // 2, n_frames + 30))
+             for p in persons}
+    frames = [DetectionFrame(fr.frame_index, fr.timestamp, tuple(
+                  box for box, owner in zip(fr.boxes, data.box_owners[fr.frame_index])
+                  if shown[owner][0] <= fr.frame_index < shown[owner][1]))
+              for fr in data.frames if rng.random() > 0.05]
+    params = PipelineParams(ts_gate=rng.choice((1.0, 2.0)), similarity=SimilarityParams(d=rng.choice((7, 10))))
+    return frames, data.streams, params
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_frame_matches_the_oracle_pipeline(seed):
+    """Frame by frame, the streaming pipeline gives what the literal rules
+    recomputed from scratch give: the tracer's boxes, and both stages'
+    pairs and objectives, bit for bit."""
+    frames, streams, params = oracle_scene(seed)
+    run = run_pipeline(frames, streams, params)
+    expected = oracle_pipeline(frames, streams, params)
+    assert len(run.frames) == len(expected)
+    for fr, (box_traces, raw, refined) in zip(run.frames, expected):
+        got = (fr.box_traces, fr.raw.pairs, fr.raw.objective.hex(), fr.refined.pairs, fr.refined.objective.hex())
+        assert got == (box_traces, raw[0], raw[1].hex(), refined[0], refined[1].hex()), fr.frame_index
 
 
 def test_non_finite_sensor_feature_named_before_any_frame(monkeypatch):

@@ -90,27 +90,22 @@ def test_adjacent_same_sign_marks_rejected():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d must be >= 2"):
         SimilarityParams(d=1)
-    with pytest.raises(ValueError):
-        SimilarityParams(no_match_penalty_factor=0.0)
+    for d, penalty in ((2, 3.0), (10, 15.0)):
+        assert type(SimilarityParams(d=d).no_match_penalty) is float
+        assert SimilarityParams(d=d).no_match_penalty == penalty
 
 
-@pytest.mark.parametrize("field", ["d", "dif_window"])
+@pytest.mark.parametrize("field", ["d"])
 def test_non_integer_window_rejected(field):
     with pytest.raises(ValueError, match=f"{field} must be an integer, got 10.0"):
         SimilarityParams(**{field: 10.0})
-    assert SimilarityParams(**{field: np.int64(10)}).dif_d == 10
-
-
-def test_integer_penalty_factor_scores_as_its_float():
-    as_int, as_float = (SimilarityParams(no_match_penalty_factor=k) for k in (2, 2.0))
-    rows = [SensorRow(["a"], [[0, 1, 0, -1, 0]], params) for params in (as_int, as_float)]
+    as_numpy = SimilarityParams(**{field: np.int64(10)})
+    rows = [SensorRow(["a"], [[0, 1, 0, -1, 0]], params) for params in (as_numpy, SimilarityParams())]
     for sign in (1, -1):
         assert rows[0].costs[sign].dtype == np.float64
         assert rows[0].costs[sign].tolist() == rows[1].costs[sign].tolist()
-    t, a = tern(40, p10=1, p25=-1), tern(40, p12=1)  # t's trough finds no trough in a
-    assert sim(t, a, as_int) == sim(t, a, as_float) != sim(t, a)
 
 
 # dif: the cost of one trace mark, seen through the score of a single mark
@@ -223,10 +218,12 @@ def test_streaming_matches_batch_on_random_interleavings():
     params = SimilarityParams()
     for _ in range(120):
         k = rng.randint(1, 4)
-        n_t, n_a = rng.randint(1, 120), rng.randint(1, 120)
+        t_start = rng.randint(0, 40)
+        a_start = rng.randint(0, min(5, t_start))
+        n_t = rng.randint(1, 120)
+        n_a = rng.randint(t_start - a_start + n_t, 170)  # the row's grid spans the trace
         t_vals = [rng.random() for _ in range(n_t)]
         a_vals = [[rng.random() for _ in range(n_a)] for _ in range(k)]
-        t_start, a_start = rng.randint(0, 40), rng.randint(0, 5)
         ts = ExtremeStream(params.d, t_start)
         row = SensorRow.from_values([f"s{m}" for m in range(k)], a_vals, params, a_start)
         scorer = PairScorer(ts, row)
@@ -284,10 +281,21 @@ def test_row_checks_its_ids_and_block_shape():
     for bad in ([1.0, 2.0], [[1.0], [2.0], [3.0]], np.zeros((2, 1, 1))):
         with pytest.raises(ValueError, match="for a row of 2 sensors"):
             SensorRow.from_values(["s0", "s1"], bad, start_frame=4)
-    pad = SimilarityParams().dif_d
-    assert SensorRow.from_values(["s0", "s1"], np.zeros((2, 0))).costs[1].shape == (2, 2 * pad)
+    assert SensorRow.from_values(["s0", "s1"], np.zeros((2, 0))).costs[1].shape == (2, 0)
     row = SensorRow.from_values(["s0", "s1"], [[1.0, 2.0], [3.0, 4.0]], start_frame=4)
-    assert row.costs[1].shape == row.costs[-1].shape == (2, 2 + 2 * pad)
+    assert row.costs[1].shape == row.costs[-1].shape == (2, 2)
+
+
+def test_scorer_keeps_its_trace_on_the_rows_grid():
+    """A trace stream may not start before its row, and a trace mark past
+    the row's last frame fails loudly rather than read another column."""
+    row = SensorRow.from_values(["a"], [[math.sin(k / 2.0) for k in range(40)]], start_frame=5)
+    with pytest.raises(ValueError, match="trace stream starts at frame 4, before its row's first frame 5"):
+        PairScorer(ExtremeStream(10, 4), row)
+    scorer = PairScorer(ExtremeStream(10, 5), row)
+    scorer.t.marks = [0] * 40 + [1]  # a mark at frame 45, one past the row's last frame
+    with pytest.raises(IndexError):
+        scorer.advance(math.inf)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -301,13 +309,13 @@ def test_non_finite_block_names_sensor_and_frame(bad):
 
 def test_row_marks_and_costs_match_literal_rules():
     """Marks against the literal extremum rule and every cost against the
-    literal nearest-mark rule, over d of both parities, search windows
-    other than d, rows shorter than half a window, and plateaus."""
+    literal nearest-mark rule, over d of both parities, rows shorter than
+    half a window, and plateaus."""
     rng = random.Random(909)
     for case in range(400):
         d = rng.randint(2, 12)
-        params = SimilarityParams(d=d, dif_window=rng.choice((None, rng.randint(1, 16))))
-        half, pad, penalty = (d + 1) // 2, params.dif_d, params.no_match_penalty
+        params = SimilarityParams(d=d)
+        half, penalty = (d + 1) // 2, params.no_match_penalty
         n = rng.randint(1, half) if case % 4 == 0 else rng.randint(half + 1, 120)
         k = rng.randint(1, 4)
         if case % 2:
@@ -322,16 +330,16 @@ def test_row_marks_and_costs_match_literal_rules():
         for m in range(k):
             for sign in (1, -1):
                 assert row.costs[sign][m].tolist() == [
-                    oracle_mark_cost(full[m], c - pad, sign, pad, penalty) for c in range(n + 2 * pad)]
+                    oracle_mark_cost(full[m], c, sign, d, penalty) for c in range(n)]
 
 
 def test_advance_folds_as_a_row_of_the_frames_so_far_would():
     """A scorer advanced through frame f has folded exactly the trace marks
-    at frames F <= f - half - dif_d, and folded them as a row built from
+    at frames F <= f - half - d, and folded them as a row built from
     only the frames through f would."""
     rng = random.Random(41)
-    for params in (SimilarityParams(), SimilarityParams(d=7, dif_window=4)):
-        half, dif_d = (params.d + 1) // 2, params.dif_d
+    for params in (SimilarityParams(), SimilarityParams(d=7)):
+        half, d = (params.d + 1) // 2, params.d
         n, t0 = 200, 7
         a_vals = np.array([[rng.random() for _ in range(n)] for _ in range(3)])
         t_vals = [rng.random() for _ in range(n - t0)]
@@ -343,7 +351,7 @@ def test_advance_folds_as_a_row_of_the_frames_so_far_would():
             if f >= t0:
                 ts_whole.push(t_vals[f - t0])
             s_whole.advance(f)
-            assert s_whole.n == sum(1 for x, m in enumerate(t_marks) if m and t0 + x + half + dif_d <= f)
+            assert s_whole.n == sum(1 for x, m in enumerate(t_marks) if m and t0 + x + half + d <= f)
             prefix = SensorRow.from_values(["a", "b", "c"], a_vals[:, :f + 1], params)
             ts_prefix = ExtremeStream(params.d, t0)
             for v in t_vals[:len(ts_whole)]:
