@@ -9,7 +9,6 @@ per frame, optionally smoothed over the pairing history.
 
 from .acc_features import (
     EmptyOverlap,
-    FilterSpec,
     NyquistViolation,
     butter_sos,
     lowpass,

@@ -1,22 +1,22 @@
 """Accelerometer step features: magnitude -> low-pass -> frame-rate alignment.
 
 The phone's orientation is unknown (pocket, hand), so direction is removed
-by taking the magnitude of the 3-axis vector. Nearly all accelerometer
-energy tied to human movement sits below 15 Hz, so the magnitude is
-low-pass filtered by a 10th-order Butterworth at 15 Hz, then resampled
+by taking the magnitude of the 3-axis vector. The magnitude is low-pass
+filtered by the one design below (ORDER, CUTOFF_HZ), then resampled
 onto the camera's frame clock so both modalities share one sample grid.
 Each stage passes numpy arrays, the frame-aligned result included.
 
-Filtering is causal (single pass): the pipeline targets streaming, and the
-constant passband group delay shifts every extremum of this modality by
-the same amount, which the similarity search window absorbs. Gravity is
-kept in the signal; a DC component creates no extremums so it cannot
-disturb matching.
+Filtering is causal (single pass): the pipeline targets streaming. The
+cost is a near-constant passband delay that makes every extremum of this
+modality late by the same amount: at 100 Hz, 1.88-1.91 frames (63 ms)
+across 1-4.6 Hz. The similarity search window admits the late mark, but
+the score charges its distance. Gravity is kept in the signal; a DC
+component creates no extremums so it cannot disturb matching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Sequence
 
 import numpy as np
@@ -25,22 +25,20 @@ from scipy.signal import butter, sosfilt
 from .model import SensorStream, Timestamp
 
 
+# The one low-pass design, a Butterworth: nearly all accelerometer energy
+# tied to human movement sits below 15 Hz. It is realized as second-order
+# sections (bilinear transform), since a direct-form order-10 filter is
+# numerically fragile.
+ORDER = 10
+CUTOFF_HZ = 15.0
+
+
 class NyquistViolation(ValueError):
-    """Filter cutoff is not below half the stream's sampling rate."""
+    """CUTOFF_HZ is not below half the stream's sampling rate."""
 
 
 class EmptyOverlap(ValueError):
     """Sensor stream and frame clock do not overlap in time."""
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Low-pass Butterworth design. Realized as second-order sections
-    (bilinear transform); a direct-form order-10 filter is numerically
-    fragile."""
-
-    order: int = 10
-    cutoff_hz: float = 15.0
 
 
 def magnitude(stream: SensorStream) -> np.ndarray:
@@ -51,25 +49,20 @@ def magnitude(stream: SensorStream) -> np.ndarray:
     return np.hypot(np.hypot(ax, ay), az)
 
 
-def butter_sos(spec: FilterSpec, rate: float) -> np.ndarray:
-    """Second-order-section coefficients for a filter design at a given rate."""
-    if rate <= 2 * spec.cutoff_hz:
-        raise NyquistViolation(
-            f"cutoff {spec.cutoff_hz} Hz needs rate > {2 * spec.cutoff_hz} Hz, got {rate}"
-        )
-    return butter(spec.order, spec.cutoff_hz, btype="low", fs=rate, output="sos")
+def butter_sos(rate: float) -> np.ndarray:
+    """Second-order-section coefficients of the design at a given rate."""
+    if not (math.isfinite(rate) and rate > 2 * CUTOFF_HZ):
+        raise NyquistViolation(f"CUTOFF_HZ {CUTOFF_HZ} Hz needs a finite rate > {2 * CUTOFF_HZ} Hz, got {rate}")
+    return butter(ORDER, CUTOFF_HZ, btype="low", fs=rate, output="sos")
 
 
-def lowpass(values: np.ndarray, rate: float, spec: FilterSpec = FilterSpec()) -> np.ndarray:
+def lowpass(values: np.ndarray, rate: float) -> np.ndarray:
     """Causal low-pass over values sampled at `rate` Hz; length kept."""
-    return sosfilt(butter_sos(spec, rate), np.asarray(values, dtype=float))
+    return sosfilt(butter_sos(rate), np.asarray(values, dtype=float))
 
 
-def resample_to_frames(
-    stream: SensorStream,
-    values: np.ndarray,
-    frame_clock: Sequence[tuple[int, Timestamp]],
-) -> np.ndarray:
+def resample_to_frames(stream: SensorStream, values: np.ndarray,
+                       frame_clock: Sequence[tuple[int, Timestamp]]) -> np.ndarray:
     """Linearly interpolate `values`, one per sample of `stream` (the
     filtered magnitude), at each frame timestamp.
 
@@ -77,9 +70,8 @@ def resample_to_frames(
     timestamp jitter against the frame clock. The output, a read-only
     float64 array, has one value per frame index from the first to the
     last; an index the clock skips takes a timestamp interpolated from its
-    neighbours. Frame timestamps outside
-    the sensor's span clamp to its first/last value; fully disjoint spans
-    are an error.
+    neighbours. Frame timestamps outside the sensor's span clamp to its
+    first/last value; fully disjoint spans are an error.
     """
     if not frame_clock:
         raise ValueError("empty frame clock")
@@ -102,10 +94,6 @@ def resample_to_frames(
     return resampled
 
 
-def step_features(
-    stream: SensorStream,
-    frame_clock: Sequence[tuple[int, Timestamp]],
-    spec: FilterSpec = FilterSpec(),
-) -> np.ndarray:
+def step_features(stream: SensorStream, frame_clock: Sequence[tuple[int, Timestamp]]) -> np.ndarray:
     """Full per-sensor pipeline: magnitude -> lowpass -> frame alignment."""
-    return resample_to_frames(stream, lowpass(magnitude(stream), stream.nominal_rate, spec), frame_clock)
+    return resample_to_frames(stream, lowpass(magnitude(stream), stream.nominal_rate), frame_clock)

@@ -27,7 +27,6 @@ import sys
 from dataclasses import fields, replace
 
 from . import fileio
-from .acc_features import FilterSpec
 from .evaluation import STAGES, TS_GATES, UnknownId, evaluate_run, stage_rates, ts_sweep
 from .model import GroundTruth, validate_detection_log
 from .pipeline import PipelineParams, run_pipeline
@@ -60,7 +59,7 @@ _KINDS = {
 }
 # Top-level keys of the "match" section, annotated as a dataclass field would be.
 MATCH_KEYS = {"detections": "str", "sensors": "list[str]", "sensors_dir": "str", "truth": "str",
-              "fps": "float", "ts_gate": "float", "tracer": "dict", "filter": "dict", "similarity": "dict"}
+              "fps": "float", "ts_gate": "float", "tracer": "dict", "similarity": "dict"}
 
 
 class CliError(ValueError):
@@ -129,14 +128,10 @@ def _scenario_config(cfg: dict, seed_override: int | None) -> ScenarioConfig:
 
 
 def _pipeline_params(mc: dict) -> PipelineParams:
-    tracer = _from_dict(TracerParams, mc.get("tracer", {}), "match.tracer")
-    filter_spec = _from_dict(FilterSpec, mc.get("filter", {}), "match.filter")
-    similarity = _from_dict(SimilarityParams, mc.get("similarity", {}), "match.similarity")
     given = {key: mc[key] for key in ("fps", "ts_gate") if key in mc}
-    try:
-        return PipelineParams(tracer=tracer, filter_spec=filter_spec, similarity=similarity, **given)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"match: {exc}") from exc
+    return _from_dict(PipelineParams, given, "match",
+                      tracer=_from_dict(TracerParams, mc.get("tracer", {}), "match.tracer"),
+                      similarity=_from_dict(SimilarityParams, mc.get("similarity", {}), "match.similarity"))
 
 
 def _resolve(base_dir: str, path: str) -> str:

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .acc_features import FilterSpec, step_features
+from .acc_features import step_features
 from .model import DetectionFrame, SensorStream
 from .pairing import Assignment, RefinedState, raw_pair, refined_pair, update_rsim
 from .similarity import ExtremeStream, PairScorer, SensorRow, SimilarityMatrix, SimilarityParams
@@ -43,7 +43,6 @@ class PipelineParams:
     fps: float = 30.0
     ts_gate: float = 2.0  # seconds a pair must cover before it is scored
     tracer: TracerParams = TracerParams()
-    filter_spec: FilterSpec = FilterSpec()
     similarity: SimilarityParams = SimilarityParams()
 
     def __post_init__(self) -> None:
@@ -107,7 +106,7 @@ def run_pipeline(
     streams = sorted(streams, key=lambda stream: stream.sensor_id)
     sensor_ids = [stream.sensor_id for stream in streams]
     # every sensor's features span the clock: one value per frame index
-    features = [step_features(stream, frame_clock, params.filter_spec) for stream in streams]
+    features = [step_features(stream, frame_clock) for stream in streams]
     block = np.stack(features) if features else np.empty((0, 0))
     row = SensorRow.from_values(sensor_ids, block, params.similarity, frames[0].frame_index)
 

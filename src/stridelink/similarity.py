@@ -224,7 +224,7 @@ class SensorRow:
         self.params = params
         self.start_frame = start_frame
         marks = np.asarray(marks, dtype=np.int8)
-        width = marks.shape[1]
+        self.width = width = marks.shape[1]
         self.costs = {}
         for sign in (1, -1):
             hit = marks == sign
@@ -264,7 +264,7 @@ class PairScorer:
     order. Advanced through math.inf, score()[k] is the sim() of the
     trace's marks against sensor k's. The trace lies on the row's grid: a
     stream that starts before the row is rejected, and folding a mark
-    past the row's last frame raises IndexError.
+    past the row's last frame raises IndexError and folds nothing.
 
     score() returns a read-only array that never changes once returned:
     while n stands it is the same object, and a new mark brings a new one.
@@ -293,6 +293,11 @@ class PairScorer:
         ready = min(len(t_marks), through - self._first_fold + 1) - 1
         if self._next > ready:
             return
+        if ready + self._col0 >= row.width:  # checked before any add
+            past = [x for x in range(max(self._next, row.width - self._col0), ready + 1) if t_marks[x]]
+            if past:
+                raise IndexError(f"trace mark at frame {self.t.start_frame + past[0]} "
+                                 f"lies past its row's last frame {row.start_frame + row.width - 1}")
         n = self.n
         totals = self.totals
         for x in range(self._next, ready + 1):

@@ -11,6 +11,7 @@ brief occlusion.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .model import BoundingBox, DetectionFrame
@@ -22,6 +23,16 @@ TRACE_ID_FORMAT = "t{:04d}"
 class TracerParams:
     radius_factor: float = 0.1   # of box height, per elapsed frame
     max_gap: int = 15            # frames unseen before a trace terminates
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.radius_factor) and self.radius_factor > 0):
+            raise ValueError(f"radius_factor must be finite and > 0, got {self.radius_factor!r}")
+        try:
+            operator.index(self.max_gap)  # numpy integers pass, floats do not
+        except TypeError:
+            raise ValueError(f"max_gap must be an integer, got {self.max_gap!r}") from None
+        if self.max_gap < 1:  # at 0 every trace retires on the next frame, before it can take a box
+            raise ValueError(f"max_gap must be >= 1, got {self.max_gap}")
 
 
 @dataclass

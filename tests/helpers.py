@@ -50,14 +50,13 @@ def oracle_marks(seq, d):
     """Literal extremum rule: strictly above (below) every value within
     ceil(d/2) positions on each side, window cut at the edges."""
     half = (d + 1) // 2
+    seq = list(seq)
     out = []
     for x in range(len(seq)):
-        lo = max(0, x - half)
-        hi = min(len(seq) - 1, x + half)
-        neighbors = [seq[k] for k in range(lo, hi + 1) if k != x]
-        if neighbors and all(seq[x] > v for v in neighbors):
+        neighbors = seq[max(0, x - half):x] + seq[x + 1:x + half + 1]
+        if neighbors and seq[x] > max(neighbors):
             out.append(1)
-        elif neighbors and all(seq[x] < v for v in neighbors):
+        elif neighbors and seq[x] < min(neighbors):
             out.append(-1)
         else:
             out.append(0)
@@ -119,11 +118,14 @@ def oracle_tracks(frames, params):
     a candidate; candidates are taken by increasing distance, then older
     trace, then lower box ordinal, each trace and box at most once; every
     box left over starts a trace. Returns, per frame, the box ordinal ->
-    trace id map and the ids of the live traces, and each trace's
-    sightings as (frame, box) pairs."""
+    trace id map and the ids of the live traces; each trace's sightings as
+    (frame, box) pairs; and, for every box that lay within the radius of
+    two or more live traces, its frame and ordinal with the last sightings
+    of those traces."""
     sightings = {}  # trace id -> its (frame, box) pairs, in order of birth
     dead = set()
     per_frame = []
+    contested = []
     for frame in frames:
         f = frame.frame_index
         for tid, seen in sightings.items():
@@ -137,6 +139,10 @@ def oracle_tracks(frames, params):
                 dist = math.hypot(box.cx - last.cx, box.cy - last.cy)
                 if dist <= params.radius_factor * last.h * (f - last_f):
                     candidates.append((dist, age, k, tid))
+        for k in range(len(frame.boxes)):
+            rivals = [sightings[c[3]][-1] for c in candidates if c[2] == k]
+            if len(rivals) > 1:
+                contested.append((f, k, rivals))
         box_traces = {}
         for _, _, k, tid in sorted(candidates):
             if k not in box_traces and tid not in box_traces.values():
@@ -147,7 +153,7 @@ def oracle_tracks(frames, params):
                 sightings[box_traces[k]] = []
             sightings[box_traces[k]].append((f, box))
         per_frame.append((box_traces, [tid for tid in sightings if tid not in dead]))
-    return per_frame, sightings
+    return per_frame, sightings, contested
 
 
 def oracle_pipeline(frames, streams, params):
@@ -169,8 +175,8 @@ def oracle_pipeline(frames, streams, params):
     gate = params.ts_gate * params.fps
     f0 = frames[0].frame_index
     clock = [(fr.frame_index, fr.timestamp) for fr in frames]
-    features = {s.sensor_id: step_features(s, clock, params.filter_spec).tolist() for s in streams}
-    per_frame, sightings = oracle_tracks(frames, params.tracer)
+    features = {s.sensor_id: step_features(s, clock).tolist() for s in streams}
+    per_frame, sightings, _ = oracle_tracks(frames, params.tracer)
     out = []
     raws = []
     for frame, (box_traces, live) in zip(frames, per_frame):

@@ -95,6 +95,13 @@ def test_cutoff_at_nyquist_rejected():
         lowpass([9.81] * 100, 30.0)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -100.0])
+def test_rate_that_is_not_finite_and_above_twice_the_cutoff_rejected(rate):
+    """The rate is named before SciPy sees it."""
+    with pytest.raises(NyquistViolation, match=rf"^CUTOFF_HZ 15.0 Hz needs a finite rate > 30.0 Hz, got {rate}$"):
+        lowpass([9.81] * 100, rate)
+
+
 @pytest.mark.parametrize("rate", [50.0, 100.0, 250.0, 500.0])
 def test_impulse_energy_dies_out(rate):
     n = int(rate * 10)

@@ -1,17 +1,16 @@
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 
 from stridelink import cli, evaluation, fileio
-from stridelink.acc_features import FilterSpec
 from stridelink.cli import main
-from stridelink.similarity import SimilarityParams
-from stridelink.simulator import PersonSpec, ScenarioConfig
-from stridelink.tracer import TracerParams
+from stridelink.pipeline import PipelineParams
+from stridelink.simulator import ScenarioConfig
 
 SCENARIO = {
     "persons": [
@@ -32,6 +31,25 @@ MATCH = {
     "sensors_dir": "out/sensors",
     "truth": "out/truth.json",
 }
+
+
+def dataclasses_in(hint):
+    """The dataclasses a resolved annotation names, at any depth."""
+    return [hint] if is_dataclass(hint) else [cls for arg in get_args(hint) for cls in dataclasses_in(arg)]
+
+
+def config_classes():
+    """PipelineParams, ScenarioConfig and every dataclass their fields
+    reach, each with the names of its fields that hold such a class."""
+    found = {}
+    todo = [PipelineParams, ScenarioConfig]
+    while todo:
+        cls = todo.pop()
+        if cls not in found:
+            hints = get_type_hints(cls)
+            found[cls] = {name for name, hint in hints.items() if dataclasses_in(hint)}
+            todo += [nested for hint in hints.values() for nested in dataclasses_in(hint)]
+    return found
 
 
 def write_cfg(tmp_path, scenario=SCENARIO, match=MATCH, name="cfg.json"):
@@ -337,8 +355,8 @@ def test_sensor_id_that_cannot_name_its_file_rejected(tmp_path, capsys, person, 
 
 def test_every_config_field_has_a_kind():
     """No config field passes unchecked: each annotation names a kind in the table."""
-    annotations = [f.type for cls in (PersonSpec, ScenarioConfig, TracerParams, FilterSpec, SimilarityParams)
-                   for f in fields(cls) if (cls, f.name) != (ScenarioConfig, "persons")]
+    annotations = [f.type for cls, sections in config_classes().items() for f in fields(cls)
+                   if f.name not in sections]
     for annotation in annotations + list(cli.MATCH_KEYS.values()):
         assert annotation.removesuffix(" | None") in cli._KINDS, annotation
 
@@ -389,7 +407,6 @@ def test_invalid_match_value_reported(tmp_path, capsys):
     ("sensors_dir", 7, "a string"),
     ("truth", ["out/truth.json"], "a string"),
     ("tracer", 3, "an object"),
-    ("filter", [10, 15.0], "an object"),
     ("similarity", 5, "an object"),
     ("ts_gate", True, "a number"),
     ("fps", True, "a number"),
@@ -420,12 +437,8 @@ def test_number_beyond_float_range_reported(tmp_path, capsys, command, key):
     ({"tracer": {"radius_factor": "0.1"}},
      'match.tracer.radius_factor must be a number, got "0.1"'),
     ({"similarity": {"d": 10.5}}, "match.similarity.d must be an integer, got 10.5"),
-    ({"filter": {"order": 10.5}}, "match.filter.order must be an integer, got 10.5"),
-    ({"filter": {"cutoff_hz": "15"}}, 'match.filter.cutoff_hz must be a number, got "15"'),
     ({"sensors": ["out/sensors/p0-acc.csv"]}, "match: give sensors or sensors_dir, not both"),
-], ids=["max_gap-float",
-        "radius_factor-string", "d-float", "order-float",
-        "cutoff_hz-string", "sensors-and-sensors_dir"])
+], ids=["max_gap-float", "radius_factor-string", "d-float", "sensors-and-sensors_dir"])
 def test_match_section_field_of_wrong_type_reported(tmp_path, capsys, match, message):
     simulated(tmp_path)
     capsys.readouterr()
@@ -442,6 +455,26 @@ def test_config_checked_before_any_input_file_is_read(tmp_path, capsys, monkeypa
              "similarity": {"d": 10.5}}
     cfg = write_cfg(tmp_path, scenario=None, match=match)
     rejected(tmp_path, capsys, command, cfg, "match.similarity.d must be an integer, got 10.5")
+    assert reads == []
+
+
+@pytest.mark.parametrize("command", ["match", "sweep"])
+@pytest.mark.parametrize("given, message", [
+    ({"filter": {"order": 10, "cutoff_hz": 15.0}}, "match: unknown keys ['filter']"),
+    ({"tracer": {"radius_factor": -1}}, "match.tracer: radius_factor must be finite and > 0, got -1.0"),
+    ({"tracer": {"max_gap": -1}}, "match.tracer: max_gap must be >= 1, got -1"),
+    ({"tracer": {"max_gap": 0}}, "match.tracer: max_gap must be >= 1, got 0"),
+], ids=["filter", "radius_factor-negative", "max_gap-negative", "max_gap-zero"])
+def test_filter_key_and_out_of_range_tracer_rejected_before_any_input_is_read(
+        tmp_path, capsys, monkeypatch, command, given, message):
+    """The step filter is one fixed design with no config, and a tracer
+    value it cannot track with is named; neither is scored silently."""
+    reads = []
+    monkeypatch.setattr(fileio, "read_detections", lambda *args: reads.append(args))
+    match = {"detections": "missing/detections.jsonl", "sensors_dir": "missing", "truth": "missing/truth.json",
+             **given}
+    cfg = write_cfg(tmp_path, scenario=None, match=match)
+    rejected(tmp_path, capsys, command, cfg, message)
     assert reads == []
 
 
@@ -483,15 +516,14 @@ def test_readme_names_every_integer_field():
     fields annotated int."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (listed,) = re.findall(r"An integer field\s+\(([^)]*)\)", readme)
-    integer = {f.name for cls in (TracerParams, FilterSpec, SimilarityParams, ScenarioConfig, PersonSpec)
-               for f in fields(cls) if f.type.removesuffix(" | None") == "int"}
+    integer = {f.name for cls in config_classes() for f in fields(cls) if f.type.removesuffix(" | None") == "int"}
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(integer)
 
 
 def test_match_numeric_fields_take_ints_and_null_window(tmp_path):
     simulated(tmp_path)
     match = {**MATCH, "fps": 30, "ts_gate": 2, "tracer": {"radius_factor": 1},
-             "filter": {"cutoff_hz": 15}, "similarity": {"d": 10}}
+             "similarity": {"d": 10}}
     cfg = write_cfg(tmp_path, match=match, name="ok.json")
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 0
 

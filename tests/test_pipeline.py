@@ -15,7 +15,7 @@ from stridelink.similarity import ExtremeStream, SimilarityParams
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 
 from conftest import fragmenting_scene, two_person_config
-from helpers import oracle_marks, oracle_pipeline, oracle_ratios, oracle_sim
+from helpers import oracle_marks, oracle_pipeline, oracle_ratios, oracle_sim, oracle_tracks
 
 
 def box_with_ratio(r):
@@ -293,16 +293,21 @@ def test_a_trace_mark_first_counts_at_frame_f_plus_half_plus_dif_d(monkeypatch):
     assert len({tid for _, tid in checked}) > 6
 
 
-def oracle_scene(seed):
-    """2-4 walkers over 60-240 frames with dropout, about one frame index
-    in twenty skipped, and walkers that enter late or leave early, so that
-    traces are born late and die early; the gate and d vary too."""
+def oracle_scene(seed, crossing):
+    """2-5 walkers over 60-300 frames with dropout and box jitter, about
+    one frame index in twenty skipped, and walkers that enter late or
+    leave early, so that traces are born late and die early; the gate and
+    d vary too. Crossing walkers go from row k to row n - 1 - k, so every
+    path passes the middle of the scene at the same time. Also returns
+    the walker behind each shown (frame, box)."""
     rng = random.Random(seed)
-    n_frames = rng.randint(60, 240)
+    n_frames = rng.randint(60, 300)
+    n = rng.randint(2, 5)
+    rows = [60.0 + 100.0 * k for k in range(n)]
     persons = tuple(
         PersonSpec(f"p{k}", rng.uniform(0.6, 1.8), phase=rng.uniform(0.0, 6.0), box_height=rng.choice((60.0, 120.0)),
-                   path=((50.0, 60.0 + 120.0 * k), (590.0, 60.0 + 120.0 * k)))
-        for k in range(rng.randint(2, 4)))
+                   path=((50.0, rows[k]), (590.0, rows[n - 1 - k] if crossing else rows[k])))
+        for k in range(n))
     data = generate(ScenarioConfig(persons=persons, duration=n_frames / 30.0, dropout_prob=0.1, seed=seed))
     # each walker is shown from the first frame or a later one, until a late frame or the end
     shown = {p.person_id: (rng.choice((0, rng.randint(1, n_frames // 3))), rng.randint(n_frames // 2, n_frames + 30))
@@ -312,15 +317,25 @@ def oracle_scene(seed):
                   if shown[owner][0] <= fr.frame_index < shown[owner][1]))
               for fr in data.frames if rng.random() > 0.05]
     params = PipelineParams(ts_gate=rng.choice((1.0, 2.0)), similarity=SimilarityParams(d=rng.choice((7, 10))))
-    return frames, data.streams, params
+    owners = {(fr.frame_index, box): owner for fr in data.frames
+              for box, owner in zip(fr.boxes, data.box_owners[fr.frame_index])}
+    return frames, data.streams, params, owners
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_every_frame_matches_the_oracle_pipeline(seed):
     """Frame by frame, the streaming pipeline gives what the literal rules
     recomputed from scratch give: the tracer's boxes, and both stages'
-    pairs and objectives, bit for bit."""
-    frames, streams, params = oracle_scene(seed)
+    pairs and objectives, bit for bit. On odd seeds walkers cross, and
+    some box lies within the radius of live traces last seen on two
+    different walkers, so the tracer's order of candidates (distance,
+    then older trace, then lower ordinal) decides which walker's trace
+    takes it."""
+    crossing = seed % 2 == 1
+    frames, streams, params, owners = oracle_scene(seed, crossing)
+    if crossing:
+        contested = oracle_tracks(frames, params.tracer)[2]
+        assert any(len({owners[last] for last in rivals}) > 1 for _, _, rivals in contested)
     run = run_pipeline(frames, streams, params)
     expected = oracle_pipeline(frames, streams, params)
     assert len(run.frames) == len(expected)

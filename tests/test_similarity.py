@@ -298,6 +298,24 @@ def test_scorer_keeps_its_trace_on_the_rows_grid():
         scorer.advance(math.inf)
 
 
+def test_fold_past_the_row_fails_before_any_add():
+    """A fold that reaches a mark past the row's last column raises before
+    it adds anything, so a caller that catches the error and folds again
+    counts no cost twice."""
+    row = SensorRow.from_values(["a"], [[math.sin(k / 2.0) for k in range(40)]])
+    scorer = PairScorer(ExtremeStream(10), row)
+    scorer.t.marks = [1] + [0] * 39 + [1]  # marks at frames 0 and 40; the row ends at 39
+    for _ in range(2):
+        with pytest.raises(IndexError, match="trace mark at frame 40 lies past its row's last frame 39"):
+            scorer.advance(math.inf)
+        assert (scorer.n, scorer.totals.tolist(), scorer._next) == (0, [0.0], 0)
+    fresh = PairScorer(ExtremeStream(10), row)
+    fresh.t.marks = scorer.t.marks[:40]
+    scorer.advance(54)  # folds positions 0-39: frame 39 + half + d
+    fresh.advance(math.inf)
+    assert (scorer.n, scorer.totals.tolist()) == (fresh.n, fresh.totals.tolist()) == (1, [row.costs[1][0, 0]])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_block_names_sensor_and_frame(bad):
     block = np.ones((3, 10))

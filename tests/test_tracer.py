@@ -1,6 +1,8 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from stridelink.model import BoundingBox, DetectionFrame
@@ -26,6 +28,24 @@ def test_search_radius_scales_with_gap():
 def test_search_radius_rejects_zero_gap():
     with pytest.raises(ValueError):
         search_radius(box(0, 0), 0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"radius_factor": -1}, "radius_factor must be finite and > 0, got -1"),
+    ({"radius_factor": 0.0}, "radius_factor must be finite and > 0, got 0.0"),
+    ({"radius_factor": math.inf}, "radius_factor must be finite and > 0, got inf"),
+    ({"radius_factor": math.nan}, "radius_factor must be finite and > 0, got nan"),
+    ({"max_gap": -1}, "max_gap must be >= 1, got -1"),
+    ({"max_gap": 0}, "max_gap must be >= 1, got 0"),
+    ({"max_gap": 15.0}, "max_gap must be an integer, got 15.0"),
+], ids=["radius-negative", "radius-zero", "radius-inf", "radius-nan", "gap-negative", "gap-zero", "gap-float"])
+def test_params_out_of_range_rejected(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TracerParams(**fields)
+
+
+def test_params_at_their_least_accepted():
+    assert TracerParams(radius_factor=1e-9, max_gap=np.int64(1)).max_gap == 1
 
 
 def test_stationary_box_builds_one_trace():
@@ -135,6 +155,19 @@ def _random_frames(seed, n_frames=60, n_boxes=3):
             boxes.append(box(pos[k][0], pos[k][1]))
         frames.append(DetectionFrame(f, f * 33_333, boxes))
     return frames
+
+
+@pytest.mark.parametrize("xs, expected", [
+    ([[100, 108], [104]], [{0: "t0000", 1: "t0001"}, {0: "t0000"}]),
+    ([[100], [104, 96]], [{0: "t0000"}, {0: "t0000", 1: "t0001"}]),
+    ([[100], [96, 104]], [{0: "t0000"}, {0: "t0000", 1: "t0001"}]),
+], ids=["older-trace", "lower-box", "lower-box-on-the-left"])
+def test_equidistant_candidates_go_to_the_older_trace_then_the_lower_box(xs, expected):
+    """At exactly equal distances the older trace takes the box, and a
+    trace takes the lower of two box ordinals."""
+    tracker = Tracker()
+    got = [tracker.update(DetectionFrame(f, f * 33_333, [box(x, 100) for x in row])) for f, row in enumerate(xs)]
+    assert got == expected
 
 
 def test_no_box_shared_between_traces_in_one_frame():
