@@ -12,6 +12,14 @@ modality late by the same amount: at 100 Hz, 1.88-1.91 frames (63 ms)
 across 1-4.6 Hz. The similarity search window admits the late mark, but
 the score charges its distance. Gravity is kept in the signal; a DC
 component creates no extremums so it cannot disturb matching.
+
+The filter is designed at the stream's nominal rate and assumes uniform
+sampling at it; jittered phone timestamps are filtered as if they were
+uniform. Its design equals SciPy's `butter` bit for bit. Its sections run
+in direct form II on a banded triangular solve, which agrees with
+SciPy's `sosfilt` (direct form II transposed) to within a few ulps of
+the signal, not bitwise. Neither imports SciPy's signal package, which
+would cost each session about a quarter of its memory.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import butter, sosfilt
+from scipy.linalg.lapack import dtbtrs
 
 from .model import SensorStream, Timestamp
 
@@ -50,15 +58,47 @@ def magnitude(stream: SensorStream) -> np.ndarray:
 
 
 def butter_sos(rate: float) -> np.ndarray:
-    """Second-order-section coefficients of the design at a given rate."""
+    """Second-order sections of the design at a given rate, rows of b0,
+    b1, b2, 1, a1, a2. SciPy's `butter` steps for this case, each float
+    operation in its order: pre-warped analog poles, the bilinear
+    transform, and sections filled from the last, each taking the
+    upper-half pole nearest the unit circle. Both transforms keep each
+    conjugate pair exact, so SciPy's averaging of the pairs changes no
+    bit and is left out."""
     if not (math.isfinite(rate) and rate > 2 * CUTOFF_HZ):
         raise NyquistViolation(f"CUTOFF_HZ {CUTOFF_HZ} Hz needs a finite rate > {2 * CUTOFF_HZ} Hz, got {rate}")
-    return butter(ORDER, CUTOFF_HZ, btype="low", fs=rate, output="sos")
+    warped = float(4.0 * np.tan(np.pi * (CUTOFF_HZ / (rate / 2)) / 2.0))
+    m = np.arange(-ORDER + 1, ORDER, 2, dtype=np.float64)
+    analog = warped * -np.exp(1j * np.pi * m / (2 * ORDER))
+    poles = (4.0 + analog) / (4.0 - analog)
+    gain = warped**ORDER * np.real(1.0 / np.prod(4.0 - analog))
+    upper = poles[poles.imag > 0]
+    sos = np.zeros((ORDER // 2, 6))
+    for section in reversed(sos):
+        k = np.argmin(np.abs(1 - np.abs(upper)))
+        section[:3] = np.poly([-1.0, -1.0])
+        section[3:] = np.poly([upper[k], upper[k].conj()])
+        upper = np.delete(upper, k)
+    sos[0, :3] *= gain
+    return sos
 
 
 def lowpass(values: np.ndarray, rate: float) -> np.ndarray:
-    """Causal low-pass over values sampled at `rate` Hz; length kept."""
-    return sosfilt(butter_sos(rate), np.asarray(values, dtype=float))
+    """Causal low-pass over values sampled at `rate` Hz; length kept, zero
+    initial state. Per section, w = x / A(z) is a lower-triangular solve
+    with unit diagonal and sub-diagonals a1, a2; y = b0 w[n] + b1 w[n-1]
+    + b2 w[n-2]."""
+    y = np.array(values, dtype=np.float64)
+    band = np.ones((3, len(y)))
+    for b0, b1, b2, _, a1, a2 in butter_sos(rate):
+        band[1], band[2] = a1, a2
+        w, info = dtbtrs(band, y, uplo="L", diag="U", overwrite_b=1)
+        if info:
+            raise RuntimeError(f"dtbtrs failed with info {info}")
+        y = b0 * w
+        y[1:] += b1 * w[:-1]
+        y[2:] += b2 * w[:-2]
+    return y
 
 
 def resample_to_frames(stream: SensorStream, values: np.ndarray,

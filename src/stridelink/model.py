@@ -50,7 +50,9 @@ class DetectionFrame:
 class SensorStream:
     """Raw accelerometer recording from a single phone: `ts_us`, int64 of
     shape (N,), and `samples`, float64 of shape (N, 3), rows of ax, ay, az
-    in m/s². Both are copied into read-only arrays."""
+    in m/s². Both are copied into read-only arrays. One timestamp per
+    sample, strictly increasing: the interpolation onto the frame clock
+    has no other meaning."""
 
     sensor_id: str
     ts_us: np.ndarray
@@ -59,7 +61,22 @@ class SensorStream:
 
     def __post_init__(self) -> None:
         ts = np.array(self.ts_us, dtype=np.int64)
-        xyz = np.array(self.samples, dtype=np.float64).reshape(-1, 3)
+        xyz = np.array(self.samples, dtype=np.float64)
+        where = f"sensor {self.sensor_id!r}"
+        if ts.ndim != 1:
+            raise ValueError(f"{where}: ts_us must be 1-D, got shape {ts.shape}")
+        if xyz.size == 0:
+            xyz = xyz.reshape(0, 3)
+        elif xyz.ndim != 2 or xyz.shape[1] != 3:
+            raise ValueError(f"{where}: samples must have shape (N, 3), got {xyz.shape}")
+        if len(ts) != len(xyz):
+            missing = "sample" if len(ts) > len(xyz) else "timestamp"
+            raise ValueError(f"{where}: {len(ts)} timestamps for {len(xyz)} samples; "
+                             f"index {min(len(ts), len(xyz))} has no {missing}")
+        backwards = np.flatnonzero(np.diff(ts) <= 0)
+        if len(backwards):
+            k = int(backwards[0]) + 1
+            raise ValueError(f"{where}: timestamp {ts[k]} at index {k} does not increase")
         ts.flags.writeable = xyz.flags.writeable = False
         object.__setattr__(self, "ts_us", ts)
         object.__setattr__(self, "samples", xyz)

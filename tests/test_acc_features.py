@@ -1,16 +1,26 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+from scipy.signal import butter, sosfilt
 
 from stridelink.acc_features import (
+    CUTOFF_HZ,
+    ORDER,
     EmptyOverlap,
     NyquistViolation,
+    butter_sos,
     lowpass,
     magnitude,
     resample_to_frames,
     step_features,
 )
+from stridelink.fileio import read_sensor_csv, write_sensor_csv
 from stridelink.model import SensorStream
 from stridelink.simulator import generate
 
@@ -100,6 +110,59 @@ def test_rate_that_is_not_finite_and_above_twice_the_cutoff_rejected(rate):
     """The rate is named before SciPy sees it."""
     with pytest.raises(NyquistViolation, match=rf"^CUTOFF_HZ 15.0 Hz needs a finite rate > 30.0 Hz, got {rate}$"):
         lowpass([9.81] * 100, rate)
+
+
+def inferred_rates(tmp_path):
+    """The rates `read_sensor_csv` infers from simulated streams written
+    to disk, as `match` reads them."""
+    rates = []
+    for acc_rate in (50.0, 60.0, 100.0, 333.0):
+        path = str(tmp_path / f"{acc_rate}.csv")
+        write_sensor_csv(path, generate(two_person_config(duration=7.0, acc_rate=acc_rate)).streams[0])
+        rates.append(read_sensor_csv(path).nominal_rate)
+    return rates
+
+
+def test_design_equals_scipy_butter_bit_for_bit(tmp_path):
+    rates = [100.0, 30.000001, 31.0, 1000.0] + np.geomspace(30.5, 1000.0, 301).tolist() + inferred_rates(tmp_path)
+    for rate in rates:
+        expected = butter(ORDER, CUTOFF_HZ, btype="low", fs=rate, output="sos")
+        assert np.array_equal(butter_sos(rate), expected), rate
+
+
+@pytest.mark.parametrize("rate", [31.0, 50.0, 100.0, 400.0, 1000.0])
+def test_cascade_agrees_with_scipy_sosfilt(rate):
+    """Direct form II on a triangular solve against SciPy's transposed
+    form: equal up to rounding, not bitwise."""
+    rng = np.random.default_rng(int(rate))
+    for n in (0, 1, 2, 3, 10, 3_000, 60_000):
+        x = 9.81 + rng.normal(size=n)
+        out = lowpass(x, rate)
+        assert (out.dtype, out.shape) == (np.float64, (n,))
+        if n:
+            assert np.max(np.abs(out - sosfilt(butter_sos(rate), x))) <= 1e-12 * np.max(np.abs(x)), n
+
+
+def test_the_pipeline_never_imports_scipy_signal():
+    """`scipy.signal` loads some 200 modules beyond `scipy.optimize`'s,
+    a quarter of a session's memory, for two calls the package makes
+    itself."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = textwrap.dedent("""
+        import sys
+        import stridelink, stridelink.cli
+        from stridelink.pipeline import run_pipeline
+        from stridelink.simulator import PersonSpec, ScenarioConfig, generate
+        persons = tuple(PersonSpec(f"p{k}", 0.9 + 0.3 * k, path=((50.0, 100.0 + 200 * k), (590.0, 100.0 + 200 * k)))
+                        for k in range(2))
+        data = generate(ScenarioConfig(persons=persons, duration=5.0))
+        assert len(run_pipeline(data.frames, data.streams).frames) == 150
+        assert "scipy.signal" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy.signal"))
+    """)
+    path = os.pathsep.join([str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("rate", [50.0, 100.0, 250.0, 500.0])

@@ -4,6 +4,7 @@ from stridelink.model import (
     BoundingBox,
     DetectionFrame,
     GroundTruth,
+    SensorStream,
     validate_detection_log,
 )
 
@@ -66,3 +67,19 @@ def test_two_sensors_cannot_claim_one_person():
 def test_boxes_stored_as_tuple():
     f = DetectionFrame(0, 0, [BoundingBox(0, 0, 1, 1)])
     assert isinstance(f.boxes, tuple)
+
+
+XYZ4 = [(0.0, 0.0, 9.81)] * 4
+
+
+@pytest.mark.parametrize("ts, samples, message", [
+    ([0, 10_000, 20_000, 30_000], XYZ4[:3], "4 timestamps for 3 samples; index 3 has no sample"),
+    ([0, 10_000], XYZ4[:3], "2 timestamps for 3 samples; index 2 has no timestamp"),
+    ([[0, 10_000], [20_000, 30_000]], XYZ4, r"ts_us must be 1-D, got shape \(2, 2\)"),
+    ([0, 10_000], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], r"samples must have shape \(N, 3\), got \(3, 2\)"),
+    ([0, 10_000, 20_000, 5], XYZ4, "timestamp 5 at index 3 does not increase"),
+    ([0, 10_000, 10_000, 30_000], XYZ4, "timestamp 10000 at index 2 does not increase"),
+], ids=["sample-missing", "timestamp-missing", "2-D", "two-axes", "backwards", "repeated"])
+def test_stream_that_cannot_be_interpolated_rejected_at_construction(ts, samples, message):
+    with pytest.raises(ValueError, match=rf"^sensor 'phone': {message}$"):
+        SensorStream("phone", ts, samples, 100.0)
