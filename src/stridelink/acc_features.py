@@ -13,13 +13,14 @@ across 1-4.6 Hz. The similarity search window admits the late mark, but
 the score charges its distance. Gravity is kept in the signal; a DC
 component creates no extremums so it cannot disturb matching.
 
-The filter is designed at the stream's nominal rate and assumes uniform
-sampling at it; jittered phone timestamps are filtered as if they were
-uniform. Its design equals SciPy's `butter` bit for bit. Its sections run
-in direct form II on a banded triangular solve, which agrees with
-SciPy's `sosfilt` (direct form II transposed) to within a few ulps of
-the signal, not bitwise. Neither imports SciPy's signal package, which
-would cost each session about a quarter of its memory.
+The filter is designed at the rate the stream's timestamps give, N - 1
+intervals over their span, and assumes uniform sampling at it; jittered
+phone timestamps are filtered as if they were uniform. Its design equals
+SciPy's `butter` bit for bit. Its sections run in direct form II on a
+banded triangular solve, which agrees with SciPy's `sosfilt` (direct
+form II transposed) to within a few ulps of the signal, not bitwise.
+Neither imports SciPy's signal package, which would cost each session
+about a quarter of its memory.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ class EmptyOverlap(ValueError):
 
 def magnitude(stream: SensorStream) -> np.ndarray:
     """Direction-free acceleration: sqrt(ax^2 + ay^2 + az^2) per sample."""
-    if not len(stream.samples):
-        raise ValueError(f"sensor {stream.sensor_id!r} has no samples")
     ax, ay, az = stream.samples.T
     return np.hypot(np.hypot(ax, ay), az)
 
@@ -111,18 +110,20 @@ def resample_to_frames(stream: SensorStream, values: np.ndarray,
     float64 array, has one value per frame index from the first to the
     last; an index the clock skips takes a timestamp interpolated from its
     neighbours. Frame timestamps outside the sensor's span clamp to its
-    first/last value; fully disjoint spans are an error.
+    first/last value; fully disjoint spans are an error, and so is a clock
+    whose indices or timestamps do not increase.
     """
     if not frame_clock:
         raise ValueError("empty frame clock")
     frames = np.asarray([f for f, _ in frame_clock], dtype=float)
     if np.any(np.diff(frames) <= 0):
         raise ValueError("frame clock indices must increase")
-    frame_ts = np.interp(
-        np.arange(frame_clock[0][0], frame_clock[-1][0] + 1, dtype=float),
-        frames,
-        np.asarray([t for _, t in frame_clock], dtype=float),
-    )
+    stamps = np.asarray([t for _, t in frame_clock], dtype=float)
+    backwards = np.flatnonzero(np.diff(stamps) <= 0)
+    if len(backwards):
+        f, t = frame_clock[backwards[0] + 1]
+        raise ValueError(f"frame clock: timestamp {t} at frame {f} does not increase")
+    frame_ts = np.interp(np.arange(frame_clock[0][0], frame_clock[-1][0] + 1, dtype=float), frames, stamps)
     t = stream.ts_us.astype(float)
     if frame_ts[-1] < t[0] or frame_ts[0] > t[-1]:
         raise EmptyOverlap(

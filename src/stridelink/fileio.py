@@ -85,13 +85,11 @@ def write_sensor_csv(path: str, stream: SensorStream) -> None:
             writer.writerow([ts, repr(ax), repr(ay), repr(az)])
 
 
-def read_sensor_csv(path: str, sensor_id: str | None = None) -> SensorStream:
-    """Load one phone's samples. The format carries no rate field; the
-    nominal rate is inferred from the first and last timestamps. A
-    rejection names the line of the first bad row, whatever its defect;
-    blank lines are skipped but counted."""
-    if sensor_id is None:
-        sensor_id = os.path.splitext(os.path.basename(path))[0]
+def read_sensor_csv(path: str) -> SensorStream:
+    """Load one phone's samples, named by the file's base name. The format
+    carries no rate field: the stream infers its rate from its
+    timestamps. A rejection names the line of the first bad row, whatever
+    its defect; blank lines are skipped but counted."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if next(csv.reader(lines[:1]), None) != SENSOR_HEADER:
@@ -116,10 +114,10 @@ def read_sensor_csv(path: str, sensor_id: str | None = None) -> SensorStream:
         else:
             problem = f"timestamp {ts[k]} does not increase"
         raise FormatError(f"{path}:{lineno}: {problem}")
-    if len(rows) < 2:
-        raise FormatError(f"{path}: need at least 2 samples to infer a rate")
-    rate = (len(ts) - 1) / (int(ts[-1] - ts[0]) / 1e6)
-    return SensorStream(sensor_id, ts, xyz, rate)
+    try:
+        return SensorStream(os.path.splitext(os.path.basename(path))[0], ts, xyz)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 _SENSOR_ROW = np.dtype([(SENSOR_HEADER[0], np.int64)] + [(name, np.float64) for name in SENSOR_HEADER[1:]])

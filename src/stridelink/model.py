@@ -49,15 +49,17 @@ class DetectionFrame:
 @dataclass(frozen=True, eq=False)
 class SensorStream:
     """Raw accelerometer recording from a single phone: `ts_us`, int64 of
-    shape (N,), and `samples`, float64 of shape (N, 3), rows of ax, ay, az
-    in m/s². Both are copied into read-only arrays. One timestamp per
-    sample, strictly increasing: the interpolation onto the frame clock
-    has no other meaning."""
+    shape (N,), and `samples`, float64 of shape (N, 3), finite rows of ax,
+    ay, az in m/s². Both are copied into read-only arrays. One timestamp
+    per sample, strictly increasing: the interpolation onto the frame
+    clock has no other meaning. The recording defines its own rate:
+    `nominal_rate` is its N - 1 intervals over the span of `ts_us`, so it
+    needs at least two samples."""
 
     sensor_id: str
     ts_us: np.ndarray
     samples: np.ndarray
-    nominal_rate: float
+    nominal_rate: float = field(init=False)
 
     def __post_init__(self) -> None:
         ts = np.array(self.ts_us, dtype=np.int64)
@@ -65,22 +67,25 @@ class SensorStream:
         where = f"sensor {self.sensor_id!r}"
         if ts.ndim != 1:
             raise ValueError(f"{where}: ts_us must be 1-D, got shape {ts.shape}")
-        if xyz.size == 0:
-            xyz = xyz.reshape(0, 3)
-        elif xyz.ndim != 2 or xyz.shape[1] != 3:
+        if xyz.ndim != 2 or xyz.shape[1] != 3:
             raise ValueError(f"{where}: samples must have shape (N, 3), got {xyz.shape}")
         if len(ts) != len(xyz):
             missing = "sample" if len(ts) > len(xyz) else "timestamp"
             raise ValueError(f"{where}: {len(ts)} timestamps for {len(xyz)} samples; "
                              f"index {min(len(ts), len(xyz))} has no {missing}")
+        if len(ts) < 2:
+            raise ValueError(f"{where}: need at least 2 samples to infer a rate, got {len(ts)}")
         backwards = np.flatnonzero(np.diff(ts) <= 0)
         if len(backwards):
             k = int(backwards[0]) + 1
             raise ValueError(f"{where}: timestamp {ts[k]} at index {k} does not increase")
+        if not np.isfinite(xyz).all():
+            k = int(np.isfinite(xyz).all(axis=1).argmin())
+            raise ValueError(f"{where}: sample {xyz[k].tolist()} at index {k} is not finite")
         ts.flags.writeable = xyz.flags.writeable = False
         object.__setattr__(self, "ts_us", ts)
         object.__setattr__(self, "samples", xyz)
-        object.__setattr__(self, "nominal_rate", float(self.nominal_rate))
+        object.__setattr__(self, "nominal_rate", (len(ts) - 1) / (int(ts[-1] - ts[0]) / 1e6))
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,22 @@ class GroundTruth:
             seen[person_id] = sensor_id
 
 
+def box_faults(boxes: Sequence[BoundingBox]) -> list[tuple[int, str]]:
+    """The one box rule: cx, cy, w and h finite, w and h positive. Each
+    (ordinal, what it breaks) of the boxes that break it, in order; empty
+    when all keep it. One call takes a frame's boxes: it runs on every
+    box of a log."""
+    faults = []
+    for ordinal, box in enumerate(boxes):
+        if not (math.isfinite(box.cx) and math.isfinite(box.cy) and math.isfinite(box.w) and math.isfinite(box.h)):
+            faults.append((ordinal, "cx, cy, w, h must be finite"))
+        if box.w <= 0:
+            faults.append((ordinal, "w <= 0"))
+        if box.h <= 0:
+            faults.append((ordinal, "h <= 0"))
+    return faults
+
+
 @dataclass
 class ValidationReport:
     """Outcome of a structural check over a detection log."""
@@ -119,8 +140,8 @@ def validate_detection_log(frames: Sequence[DetectionFrame]) -> ValidationReport
 
     Pure report-style check: never raises, same input gives the same report.
     Flags non-monotone frame indices, non-monotone timestamps, and boxes
-    with non-finite fields or non-positive dimensions (named by frame_index
-    and box ordinal). Skipped frame indices are allowed.
+    that break the box rule of `box_faults` (named by frame_index and box
+    ordinal). Skipped frame indices are allowed.
     """
     report = ValidationReport()
     prev_index: int | None = None
@@ -136,20 +157,8 @@ def validate_detection_log(frames: Sequence[DetectionFrame]) -> ValidationReport
             report.violations.append(
                 f"frame_index {frame.frame_index}: timestamp {frame.timestamp} does not increase past {prev_ts}"
             )
-        for ordinal, box in enumerate(frame.boxes):
-            if not (math.isfinite(box.cx) and math.isfinite(box.cy)
-                    and math.isfinite(box.w) and math.isfinite(box.h)):
-                report.violations.append(
-                    f"frame_index {frame.frame_index} box {ordinal}: cx, cy, w, h must be finite"
-                )
-            if box.w <= 0:
-                report.violations.append(
-                    f"frame_index {frame.frame_index} box {ordinal}: w <= 0"
-                )
-            if box.h <= 0:
-                report.violations.append(
-                    f"frame_index {frame.frame_index} box {ordinal}: h <= 0"
-                )
+        for ordinal, fault in box_faults(frame.boxes):
+            report.violations.append(f"frame_index {frame.frame_index} box {ordinal}: {fault}")
         prev_index = frame.frame_index
         prev_ts = frame.timestamp
     return report

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .acc_features import step_features
-from .model import DetectionFrame, SensorStream
+from .model import DetectionFrame, SensorStream, box_faults
 from .pairing import Assignment, RefinedState, raw_pair, refined_pair, update_rsim
 from .similarity import ExtremeStream, PairScorer, SensorRow, SimilarityMatrix, SimilarityParams
 from .tracer import Trace, TracerParams, Tracker
@@ -96,7 +96,9 @@ def run_pipeline(
     streams: Iterable[SensorStream],
     params: PipelineParams = PipelineParams(),
 ) -> MatchRun:
-    """Process a detection log against sensor streams, frame by frame."""
+    """Process a detection log against sensor streams, frame by frame.
+    A frame with a box that breaks `model.box_faults`'s rule is rejected
+    before it is traced, naming the frame, the box and its first fault."""
     frames = list(frames)
     if not frames:
         return MatchRun([], {}, 0.0)
@@ -107,7 +109,8 @@ def run_pipeline(
     sensor_ids = [stream.sensor_id for stream in streams]
     # every sensor's features span the clock: one value per frame index
     features = [step_features(stream, frame_clock) for stream in streams]
-    block = np.stack(features) if features else np.empty((0, 0))
+    n = frames[-1].frame_index - frames[0].frame_index + 1
+    block = np.stack(features) if features else np.empty((0, n))
     row = SensorRow.from_values(sensor_ids, block, params.similarity, frames[0].frame_index)
 
     gate = params.ts_gate * params.fps
@@ -122,6 +125,9 @@ def run_pipeline(
 
     for frame in frames:
         f = frame.frame_index
+        faults = box_faults(frame.boxes)
+        if faults:
+            raise ValueError(f"frame {f} box {faults[0][0]}: {faults[0][1]}")
         box_traces = tracker.update(frame)
 
         for ordinal, trace_id in box_traces.items():
@@ -136,14 +142,13 @@ def run_pipeline(
 
         trace_ids: list[str] = []
         rows: list[np.ndarray] = []
-        if sensor_ids and f - row.start_frame + 1 >= gate:
-            for tid in sorted(scorers):
-                scorer = scorers[tid]
-                if len(scorer.t) < gate:
-                    continue
-                scorer.advance(f)
-                trace_ids.append(tid)
-                rows.append(scorer.score())
+        for tid in sorted(scorers):
+            scorer = scorers[tid]
+            if len(scorer.t) < gate:
+                continue
+            scorer.advance(f)
+            trace_ids.append(tid)
+            rows.append(scorer.score())
 
         if matrix is None or trace_ids != matrix.trace_ids or any(
                 a is not b for a, b in zip(rows, matrix_rows)):

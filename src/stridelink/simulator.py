@@ -250,7 +250,7 @@ def generate(config: ScenarioConfig) -> ScenarioData:
             # phone orientation is arbitrary; park the whole magnitude on
             # one axis, the pipeline only ever sees the norm
             samples.append((0.0, 0.0, max(m, 0.0)))
-        streams.append(SensorStream(p.sensor, ts_us, samples, config.acc_rate))
+        streams.append(SensorStream(p.sensor, ts_us, samples))
         sensor_owners[p.sensor] = p.person_id
 
     return ScenarioData(tuple(frames), tuple(streams), sensor_owners, box_owners)

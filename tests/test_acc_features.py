@@ -29,7 +29,7 @@ from helpers import strict_interior_maxima
 
 
 def stream_of(triples, rate=100.0):
-    return SensorStream("s", [round(k * 1e6 / rate) for k in range(len(triples))], triples, rate)
+    return SensorStream("s", [round(k * 1e6 / rate) for k in range(len(triples))], triples)
 
 
 def mag_seq(values, rate=100.0):
@@ -60,23 +60,18 @@ def test_magnitude_equals_per_sample_hypot_exactly():
 
 
 def test_magnitude_single_axis():
-    seq = magnitude(stream_of([(0.0, 0.0, 9.81)]))
-    assert seq[0] == pytest.approx(9.81, abs=1e-12)
+    seq = magnitude(stream_of([(0.0, 0.0, 9.81), (9.81, 0.0, 0.0)]))
+    assert seq == pytest.approx([9.81, 9.81], abs=1e-12)
 
 
 def test_magnitude_3_4_5():
-    seq = magnitude(stream_of([(3.0, 4.0, 0.0)]))
-    assert seq[0] == pytest.approx(5.0, abs=1e-12)
+    seq = magnitude(stream_of([(3.0, 4.0, 0.0), (0.0, 3.0, 4.0)]))
+    assert seq == pytest.approx([5.0, 5.0], abs=1e-12)
 
 
 def test_magnitude_1_2_2():
-    seq = magnitude(stream_of([(1.0, 2.0, 2.0)]))
-    assert seq[0] == pytest.approx(3.0, abs=1e-12)
-
-
-def test_magnitude_rejects_empty_stream():
-    with pytest.raises(ValueError):
-        magnitude(SensorStream("s", (), (), 100.0))
+    seq = magnitude(stream_of([(1.0, 2.0, 2.0), (2.0, 1.0, 2.0)]))
+    assert seq == pytest.approx([3.0, 3.0], abs=1e-12)
 
 
 def test_dc_passes_unchanged():
@@ -236,6 +231,29 @@ def test_non_increasing_clock_rejected():
     seq = mag_seq([1.0] * 100, 100.0)
     with pytest.raises(ValueError):
         resample_to_frames(*seq, [(0, 0), (2, 10_000), (2, 20_000)])
+
+
+@pytest.mark.parametrize("stamps", [(0, 10_000, 10_000, 30_000), (0, 10_000, 9_999, 30_000)],
+                         ids=["repeated", "backwards"])
+def test_clock_timestamp_that_does_not_increase_named_by_frame(stamps):
+    """np.interp gives meaningless values for timestamps that do not
+    increase, so the first frame that breaks the rule is named."""
+    clock = list(zip(range(4, 8), stamps))
+    with pytest.raises(ValueError, match=rf"^frame clock: timestamp {stamps[2]} at frame 6 does not increase$"):
+        resample_to_frames(*mag_seq([1.0] * 100, 100.0), clock)
+
+
+@pytest.mark.parametrize("acc_rate", [60.0, 333.0])
+def test_stream_and_its_csv_copy_share_rate_and_features(tmp_path, acc_rate):
+    """The rate comes from the timestamps alone, so a simulated stream and
+    the one read back from its CSV filter alike, bit for bit."""
+    stream = generate(two_person_config(duration=7.0, acc_rate=acc_rate)).streams[0]
+    path = str(tmp_path / f"{stream.sensor_id}.csv")
+    write_sensor_csv(path, stream)
+    back = read_sensor_csv(path)
+    assert back.nominal_rate.hex() == stream.nominal_rate.hex()
+    clock = frame_clock(n=200)
+    assert step_features(back, clock).tobytes() == step_features(stream, clock).tobytes()
 
 
 def test_full_chain_is_deterministic():

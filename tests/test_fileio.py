@@ -193,7 +193,8 @@ def test_sensor_csv_bytes_pinned(tmp_path):
 def test_single_sample_stream_rejected(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("ts_us,ax,ay,az\n0,0,0,9.8\n")
-    with pytest.raises(FormatError, match="at least 2 samples"):
+    message = f"{path}: sensor 's': need at least 2 samples to infer a rate, got 1"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         read_sensor_csv(str(path))
 
 

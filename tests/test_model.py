@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from stridelink.model import (
@@ -79,7 +82,23 @@ XYZ4 = [(0.0, 0.0, 9.81)] * 4
     ([0, 10_000], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], r"samples must have shape \(N, 3\), got \(3, 2\)"),
     ([0, 10_000, 20_000, 5], XYZ4, "timestamp 5 at index 3 does not increase"),
     ([0, 10_000, 10_000, 30_000], XYZ4, "timestamp 10000 at index 2 does not increase"),
-], ids=["sample-missing", "timestamp-missing", "2-D", "two-axes", "backwards", "repeated"])
+    (np.empty(0, np.int64), np.empty((0, 3)), "need at least 2 samples to infer a rate, got 0"),
+    ([0], XYZ4[:1], "need at least 2 samples to infer a rate, got 1"),
+    ([0, 10_000, 20_000, 30_000], XYZ4[:2] + [(0.0, math.nan, 9.81)] + XYZ4[3:],
+     r"sample \[0.0, nan, 9.81\] at index 2 is not finite"),
+    ([0, 10_000], [(math.inf, 0.0, 9.81), (0.0, 0.0, -math.inf)],
+     r"sample \[inf, 0.0, 9.81\] at index 0 is not finite"),
+], ids=["sample-missing", "timestamp-missing", "2-D", "two-axes", "backwards", "repeated", "no-sample",
+        "one-sample", "nan", "inf"])
 def test_stream_that_cannot_be_interpolated_rejected_at_construction(ts, samples, message):
     with pytest.raises(ValueError, match=rf"^sensor 'phone': {message}$"):
-        SensorStream("phone", ts, samples, 100.0)
+        SensorStream("phone", ts, samples)
+
+
+def test_stream_rate_is_its_intervals_over_its_span():
+    """The rate is no argument: three 10 ms intervals and one of 70 ms
+    give 4 intervals over 100 ms."""
+    stream = SensorStream("phone", [0, 10_000, 20_000, 30_000, 100_000], [(0.0, 0.0, 9.81)] * 5)
+    assert stream.nominal_rate == 40.0
+    with pytest.raises(TypeError):
+        SensorStream("phone", [0, 10_000], XYZ4[:2], 100.0)

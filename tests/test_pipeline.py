@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -345,22 +346,54 @@ def test_every_frame_matches_the_oracle_pipeline(seed):
 
 
 def test_non_finite_sensor_feature_named_before_any_frame(monkeypatch):
+    """A stream's samples are finite, but a magnitude may still overflow."""
     data = generate(two_person_config(duration=300 / 30.0))
     stream = data.streams[1]
     samples = stream.samples.copy()
-    samples[200, 1] = math.nan
-    streams = [data.streams[0], SensorStream(stream.sensor_id, stream.ts_us, samples, stream.nominal_rate)]
+    samples[200, :2] = 1.5e308
+    streams = [data.streams[0], SensorStream(stream.sensor_id, stream.ts_us, samples)]
     updates = []
     monkeypatch.setattr(pipeline.Tracker, "update", lambda self, frame: updates.append(frame))
-    with pytest.raises(ValueError, match=rf"sensor '{stream.sensor_id}': non-finite step feature nan at frame 60$"):
+    with pytest.warns(RuntimeWarning, match="overflow encountered in hypot"), \
+            pytest.raises(ValueError, match=rf"sensor '{stream.sensor_id}': non-finite step feature inf at frame 60$"):
         run_pipeline(data.frames, streams)
     assert updates == []
+
+
+def test_detection_timestamp_that_does_not_increase_rejected():
+    data = generate(two_person_config(duration=300 / 30.0))
+    frames = list(data.frames)
+    assert [fr.frame_index for fr in frames[49:51]] == [49, 50]
+    frames[50] = DetectionFrame(50, frames[49].timestamp, frames[50].boxes)
+    message = f"frame clock: timestamp {frames[49].timestamp} at frame 50 does not increase"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_pipeline(frames, data.streams)
+
+
+@pytest.mark.parametrize("w, h, fault", [
+    (-40.0, 80.0, "w <= 0"),
+    (0.0, 80.0, "w <= 0"),
+    (40.0, math.nan, "cx, cy, w, h must be finite"),
+    (-math.inf, 0.0, "cx, cy, w, h must be finite"),
+], ids=["negative-width", "zero-width", "nan-height", "all-three"])
+def test_box_that_breaks_the_box_rule_named_by_frame_and_ordinal(w, h, fault):
+    """A negative width would be scored and a zero width would divide by
+    zero: the pipeline applies the detection-log check's box rule first
+    and names the box's first fault."""
+    data = generate(two_person_config(duration=300 / 30.0))
+    frames = list(data.frames)
+    fr = frames[120]
+    boxes = list(fr.boxes)
+    boxes[1] = BoundingBox(boxes[1].cx, boxes[1].cy, w, h)
+    frames[120] = DetectionFrame(fr.frame_index, fr.timestamp, boxes)
+    with pytest.raises(ValueError, match=rf"^frame {fr.frame_index} box 1: {re.escape(fault)}$"):
+        run_pipeline(frames, data.streams)
 
 
 def test_two_streams_with_one_sensor_id_rejected():
     data = generate(two_person_config(duration=5.0))
     first, second = data.streams
-    twin = SensorStream(first.sensor_id, second.ts_us, second.samples, second.nominal_rate)
+    twin = SensorStream(first.sensor_id, second.ts_us, second.samples)
     with pytest.raises(ValueError, match=f"sensor id '{first.sensor_id}' given more than once"):
         run_pipeline(data.frames, [first, twin])
 

@@ -120,7 +120,7 @@ def test_sensor_map_and_stream_shape():
     for s in data.streams:
         assert len(s.samples) == 1000  # 10 s at 100 Hz
         assert s.samples.shape == (1000, 3) and s.ts_us.shape == (1000,)
-        assert s.nominal_rate == 100.0
+        assert s.nominal_rate == 999 / (9_990_000 / 1e6)  # the timestamps' 999 intervals over their span
         assert (np.diff(s.ts_us) > 0).all()
         assert (s.samples[:, 2] >= 0.0).all()
 
