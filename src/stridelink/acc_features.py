@@ -2,8 +2,9 @@
 
 The phone's orientation is unknown (pocket, hand), so direction is removed
 by taking the magnitude of the 3-axis vector. The magnitude is low-pass
-filtered by the one design below (ORDER, CUTOFF_HZ), then resampled
-onto the camera's frame clock so both modalities share one sample grid.
+filtered by the one design below (ORDER, CUTOFF_HZ), then sampled at the
+frame times it is given, so both modalities share one grid. The grid,
+and the log rule it rests on, belong to the pipeline, not to this module.
 Each stage passes numpy arrays, the frame-aligned result included.
 
 Filtering is causal (single pass): the pipeline targets streaming. The
@@ -26,12 +27,11 @@ about a quarter of its memory.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .model import SensorStream, Timestamp
+from .model import SensorStream
 
 
 # The one low-pass design, a Butterworth: nearly all accelerometer energy
@@ -47,13 +47,20 @@ class NyquistViolation(ValueError):
 
 
 class EmptyOverlap(ValueError):
-    """Sensor stream and frame clock do not overlap in time."""
+    """Sensor stream and frame times do not overlap."""
 
 
 def magnitude(stream: SensorStream) -> np.ndarray:
-    """Direction-free acceleration: sqrt(ax^2 + ay^2 + az^2) per sample."""
+    """Direction-free acceleration: sqrt(ax^2 + ay^2 + az^2) per sample.
+    A finite sample whose magnitude overflows is named by its index."""
     ax, ay, az = stream.samples.T
-    return np.hypot(np.hypot(ax, ay), az)
+    with np.errstate(over="ignore"):
+        m = np.hypot(np.hypot(ax, ay), az)
+    if not np.isfinite(m).all():
+        k = int(np.isfinite(m).argmin())
+        raise ValueError(f"sensor {stream.sensor_id!r}: sample {stream.samples[k].tolist()} "
+                         f"at index {k} has a magnitude that overflows")
+    return m
 
 
 def butter_sos(rate: float) -> np.ndarray:
@@ -100,41 +107,27 @@ def lowpass(values: np.ndarray, rate: float) -> np.ndarray:
     return y
 
 
-def resample_to_frames(stream: SensorStream, values: np.ndarray,
-                       frame_clock: Sequence[tuple[int, Timestamp]]) -> np.ndarray:
+def resample_to_frames(stream: SensorStream, values: np.ndarray, frame_ts: np.ndarray) -> np.ndarray:
     """Linearly interpolate `values`, one per sample of `stream` (the
-    filtered magnitude), at each frame timestamp.
+    filtered magnitude), at each time of `frame_ts`, in µs.
 
     Interpolation (rather than decimation by dropping) tolerates phone
-    timestamp jitter against the frame clock. The output, a read-only
-    float64 array, has one value per frame index from the first to the
-    last; an index the clock skips takes a timestamp interpolated from its
-    neighbours. Frame timestamps outside the sensor's span clamp to its
-    first/last value; fully disjoint spans are an error, and so is a clock
-    whose indices or timestamps do not increase.
+    timestamp jitter against the camera's frame times. The output, a
+    read-only float64 array, has one value per time given, in any order.
+    Times outside the sensor's span clamp to its first/last value; times
+    that all lie on one side of it are an error.
     """
-    if not frame_clock:
-        raise ValueError("empty frame clock")
-    frames = np.asarray([f for f, _ in frame_clock], dtype=float)
-    if np.any(np.diff(frames) <= 0):
-        raise ValueError("frame clock indices must increase")
-    stamps = np.asarray([t for _, t in frame_clock], dtype=float)
-    backwards = np.flatnonzero(np.diff(stamps) <= 0)
-    if len(backwards):
-        f, t = frame_clock[backwards[0] + 1]
-        raise ValueError(f"frame clock: timestamp {t} at frame {f} does not increase")
-    frame_ts = np.interp(np.arange(frame_clock[0][0], frame_clock[-1][0] + 1, dtype=float), frames, stamps)
     t = stream.ts_us.astype(float)
-    if frame_ts[-1] < t[0] or frame_ts[0] > t[-1]:
+    if len(frame_ts) and (np.max(frame_ts) < t[0] or np.min(frame_ts) > t[-1]):
         raise EmptyOverlap(
             f"sensor {stream.sensor_id!r} spans [{stream.ts_us[0]}, {stream.ts_us[-1]}] us, "
-            f"frames span [{frame_clock[0][1]}, {frame_clock[-1][1]}] us"
+            f"frames span [{np.min(frame_ts)}, {np.max(frame_ts)}] us"
         )
     resampled = np.interp(frame_ts, t, values)
     resampled.setflags(write=False)
     return resampled
 
 
-def step_features(stream: SensorStream, frame_clock: Sequence[tuple[int, Timestamp]]) -> np.ndarray:
+def step_features(stream: SensorStream, frame_ts: np.ndarray) -> np.ndarray:
     """Full per-sensor pipeline: magnitude -> lowpass -> frame alignment."""
-    return resample_to_frames(stream, lowpass(magnitude(stream), stream.nominal_rate), frame_clock)
+    return resample_to_frames(stream, lowpass(magnitude(stream), stream.nominal_rate), frame_ts)

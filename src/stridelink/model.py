@@ -51,8 +51,8 @@ class SensorStream:
     """Raw accelerometer recording from a single phone: `ts_us`, int64 of
     shape (N,), and `samples`, float64 of shape (N, 3), finite rows of ax,
     ay, az in m/s². Both are copied into read-only arrays. One timestamp
-    per sample, strictly increasing: the interpolation onto the frame
-    clock has no other meaning. The recording defines its own rate:
+    per sample, strictly increasing: the interpolation at the frame
+    times has no other meaning. The recording defines its own rate:
     `nominal_rate` is its N - 1 intervals over the span of `ts_us`, so it
     needs at least two samples."""
 
@@ -108,22 +108,6 @@ class GroundTruth:
             seen[person_id] = sensor_id
 
 
-def box_faults(boxes: Sequence[BoundingBox]) -> list[tuple[int, str]]:
-    """The one box rule: cx, cy, w and h finite, w and h positive. Each
-    (ordinal, what it breaks) of the boxes that break it, in order; empty
-    when all keep it. One call takes a frame's boxes: it runs on every
-    box of a log."""
-    faults = []
-    for ordinal, box in enumerate(boxes):
-        if not (math.isfinite(box.cx) and math.isfinite(box.cy) and math.isfinite(box.w) and math.isfinite(box.h)):
-            faults.append((ordinal, "cx, cy, w, h must be finite"))
-        if box.w <= 0:
-            faults.append((ordinal, "w <= 0"))
-        if box.h <= 0:
-            faults.append((ordinal, "h <= 0"))
-    return faults
-
-
 @dataclass
 class ValidationReport:
     """Outcome of a structural check over a detection log."""
@@ -139,9 +123,11 @@ def validate_detection_log(frames: Sequence[DetectionFrame]) -> ValidationReport
     """Check a detection log against its structural invariants.
 
     Pure report-style check: never raises, same input gives the same report.
-    Flags non-monotone frame indices, non-monotone timestamps, and boxes
-    that break the box rule of `box_faults` (named by frame_index and box
-    ordinal). Skipped frame indices are allowed.
+    Flags non-monotone frame indices, negative or non-monotone timestamps,
+    and boxes whose cx, cy, w or h is not finite or whose w or h is not
+    positive (named by frame_index and box ordinal). Skipped frame
+    indices are allowed. This is the one rule of a log: `run_pipeline`
+    raises its first violation.
     """
     report = ValidationReport()
     prev_index: int | None = None
@@ -157,8 +143,13 @@ def validate_detection_log(frames: Sequence[DetectionFrame]) -> ValidationReport
             report.violations.append(
                 f"frame_index {frame.frame_index}: timestamp {frame.timestamp} does not increase past {prev_ts}"
             )
-        for ordinal, fault in box_faults(frame.boxes):
-            report.violations.append(f"frame_index {frame.frame_index} box {ordinal}: {fault}")
+        for ordinal, box in enumerate(frame.boxes):
+            if not (math.isfinite(box.cx) and math.isfinite(box.cy) and math.isfinite(box.w) and math.isfinite(box.h)):
+                report.violations.append(f"frame_index {frame.frame_index} box {ordinal}: cx, cy, w, h must be finite")
+            if box.w <= 0:
+                report.violations.append(f"frame_index {frame.frame_index} box {ordinal}: w <= 0")
+            if box.h <= 0:
+                report.violations.append(f"frame_index {frame.frame_index} box {ordinal}: h <= 0")
         prev_index = frame.frame_index
         prev_ts = frame.timestamp
     return report

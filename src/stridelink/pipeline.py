@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .acc_features import step_features
-from .model import DetectionFrame, SensorStream, box_faults
+from .model import DetectionFrame, SensorStream, validate_detection_log
 from .pairing import Assignment, RefinedState, raw_pair, refined_pair, update_rsim
 from .similarity import ExtremeStream, PairScorer, SensorRow, SimilarityMatrix, SimilarityParams
 from .tracer import Trace, TracerParams, Tracker
@@ -97,21 +97,25 @@ def run_pipeline(
     params: PipelineParams = PipelineParams(),
 ) -> MatchRun:
     """Process a detection log against sensor streams, frame by frame.
-    A frame with a box that breaks `model.box_faults`'s rule is rejected
-    before it is traced, naming the frame, the box and its first fault."""
+    A log that breaks `model.validate_detection_log`'s rule is rejected
+    before any work, with its first violation."""
     frames = list(frames)
     if not frames:
         return MatchRun([], {}, 0.0)
 
     t0 = time.perf_counter()
-    frame_clock = [(f.frame_index, f.timestamp) for f in frames]
+    report = validate_detection_log(frames)
+    if not report.ok:
+        raise ValueError(report.violations[0])
+    # the frame grid: one time per frame index from the first to the last,
+    # a skipped index interpolated between its neighbours
+    first, last = frames[0].frame_index, frames[-1].frame_index
+    frame_ts = np.interp(np.arange(first, last + 1, dtype=float),
+                         [f.frame_index for f in frames], [f.timestamp for f in frames])
     streams = sorted(streams, key=lambda stream: stream.sensor_id)
     sensor_ids = [stream.sensor_id for stream in streams]
-    # every sensor's features span the clock: one value per frame index
-    features = [step_features(stream, frame_clock) for stream in streams]
-    n = frames[-1].frame_index - frames[0].frame_index + 1
-    block = np.stack(features) if features else np.empty((0, n))
-    row = SensorRow.from_values(sensor_ids, block, params.similarity, frames[0].frame_index)
+    block = np.array([step_features(stream, frame_ts) for stream in streams]).reshape(len(streams), len(frame_ts))
+    row = SensorRow.from_values(sensor_ids, block, params.similarity, first)
 
     gate = params.ts_gate * params.fps
     tracker = Tracker(params.tracer)
@@ -125,9 +129,6 @@ def run_pipeline(
 
     for frame in frames:
         f = frame.frame_index
-        faults = box_faults(frame.boxes)
-        if faults:
-            raise ValueError(f"frame {f} box {faults[0][0]}: {faults[0][1]}")
         box_traces = tracker.update(frame)
 
         for ordinal, trace_id in box_traces.items():

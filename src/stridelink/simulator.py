@@ -24,7 +24,7 @@ and sensor noise; adding a person never perturbs the others' draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .model import BoundingBox, DetectionFrame, SensorStream
@@ -134,9 +134,18 @@ class ScenarioData:
     box_owners: dict[int, tuple[str, ...]]
 
 
+def _require_finite(obj: ScenarioConfig | PersonSpec, where: str = "") -> None:
+    """Reject the first float field of obj that is NaN or infinite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ConfigError(f"{where}{f.name} must be finite, got {value}")
+
+
 def _validate(config: ScenarioConfig) -> None:
     if not config.persons:
         raise ConfigError("at least one person required")
+    _require_finite(config)
     if config.duration <= 0:
         raise ConfigError("duration must be positive")
     if config.fps <= 0:
@@ -150,6 +159,10 @@ def _validate(config: ScenarioConfig) -> None:
     seen_p: set[str] = set()
     seen_s: set[str] = set()
     for p in config.persons:
+        _require_finite(p, f"{p.person_id}: ")
+        for k, point in enumerate(p.path):
+            if not all(math.isfinite(c) for c in point):
+                raise ConfigError(f"{p.person_id}: path point {k} must be finite, got {point}")
         if p.person_id in seen_p:
             raise ConfigError(f"duplicate person_id {p.person_id!r}")
         if p.sensor in seen_s:

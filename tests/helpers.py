@@ -89,6 +89,13 @@ def oracle_ratios(sightings):
     return out
 
 
+def oracle_frame_times(frames):
+    """Literal frame grid of a detection log: one time per frame index
+    from the first to the last, each index at its own timestamp or, where
+    the log skips it, at the linear time between its neighbours."""
+    return np.array(oracle_ratios([(fr.frame_index, float(fr.timestamp)) for fr in frames]))
+
+
 def oracle_sim(t, a, d=10, t_start=0, a_start=0, penalty=None, floor=0.5):
     """Literal score rule: the number of trace marks over the summed
     distance from each trace mark to the nearest same-sign sensor mark at
@@ -174,8 +181,8 @@ def oracle_pipeline(frames, streams, params):
     d, half = sim_params.d, (sim_params.d + 1) // 2
     gate = params.ts_gate * params.fps
     f0 = frames[0].frame_index
-    clock = [(fr.frame_index, fr.timestamp) for fr in frames]
-    features = {s.sensor_id: step_features(s, clock).tolist() for s in streams}
+    times = oracle_frame_times(frames)
+    features = {s.sensor_id: step_features(s, times).tolist() for s in streams}
     per_frame, sightings, _ = oracle_tracks(frames, params.tracer)
     out = []
     raws = []

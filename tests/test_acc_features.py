@@ -34,7 +34,7 @@ def stream_of(triples, rate=100.0):
 
 def mag_seq(values, rate=100.0):
     """A stream sampled at `rate` and `values` standing for its filtered
-    magnitudes: the arguments `resample_to_frames` takes before the clock."""
+    magnitudes: the arguments `resample_to_frames` takes before the times."""
     return stream_of([(0.0, 0.0, 0.0)] * len(values), rate), np.asarray(values, dtype=float)
 
 
@@ -180,8 +180,8 @@ def test_constant_offset_shifts_output_by_same_constant():
     assert all(abs(d - 5.0) < 1e-4 for d in diffs)
 
 
-def frame_clock(fps=30.0, n=300, t0_us=0):
-    return [(f, t0_us + round(f * 1e6 / fps)) for f in range(n)]
+def frame_times(fps=30.0, n=300, t0_us=0):
+    return np.array([t0_us + round(f * 1e6 / fps) for f in range(n)], dtype=float)
 
 
 def test_ramp_resamples_to_ramp():
@@ -189,10 +189,10 @@ def test_ramp_resamples_to_ramp():
     n = int(rate * dur)
     values = [k / (n - 1) for k in range(n)]
     stream, filtered = mag_seq(values, rate)
-    clock = frame_clock(n=300)
-    out = resample_to_frames(stream, filtered, clock)
+    times = frame_times(n=300)
+    out = resample_to_frames(stream, filtered, times)
     span = stream.ts_us[-1]
-    for (f, ts), v in zip(clock, out):
+    for ts, v in zip(times, out):
         assert abs(v - ts / span) < 1e-9
 
 
@@ -201,46 +201,47 @@ def test_one_hz_keeps_ten_peaks_per_ten_seconds():
     # dephased so crests fall off the frame-grid midpoint, where linear
     # interpolation would split one peak into two equal samples
     values = [10.0 + math.sin(2 * math.pi * k / rate + 0.3) for k in range(1000)]
-    out = resample_to_frames(*mag_seq(values, rate), frame_clock(n=300))
+    out = resample_to_frames(*mag_seq(values, rate), frame_times(n=300))
     assert strict_interior_maxima(out) == 10
 
 
 def test_disjoint_spans_rejected():
-    seq = mag_seq([1.0] * 100, 100.0)
-    late_clock = [(f, 10_000_000 + f * 33_333) for f in range(30)]
-    with pytest.raises(EmptyOverlap):
-        resample_to_frames(*seq, late_clock)
+    """Times wholly after the sensor's span, in whatever order, share no
+    moment with it."""
+    seq = mag_seq([1.0] * 100, 100.0)  # spans 0..990000 us
+    late = frame_times(n=30, t0_us=10_000_000)
+    for times in (late, late[::-1]):
+        with pytest.raises(EmptyOverlap, match=r"^sensor 's' spans \[0, 990000\] us, "
+                                               r"frames span \[10000000.0, 10966667.0\] us$"):
+            resample_to_frames(*seq, times)
 
 
 def test_clock_edges_clamp_to_sensor_span():
     seq = mag_seq([2.0, 4.0], 100.0)  # spans 0..10000 us
-    clock = [(0, 0), (1, 5000), (2, 50_000)]
-    out = resample_to_frames(*seq, clock)
+    out = resample_to_frames(*seq, np.array([0.0, 5000.0, 50_000.0]))
     assert out.tolist() == [2.0, 3.0, 4.0]
 
 
-def test_skipped_frame_index_takes_interpolated_timestamp():
+def test_times_in_any_order_each_take_their_own_value():
+    """No order rule lives here: each time is interpolated on its own,
+    even before the sensor's span as long as some time overlaps it."""
     seq = mag_seq([float(k) for k in range(100)], 100.0)  # value = ts / 10 ms
-    clock = [(5, 0), (6, 20_000), (8, 60_000), (9, 70_000)]
-    out = resample_to_frames(*seq, clock)
-    assert len(out) == 5
-    assert out == pytest.approx((0.0, 2.0, 4.0, 6.0, 7.0), abs=1e-12)
+    out = resample_to_frames(*seq, np.array([60_000.0, 20_000.0, 20_000.0, -5_000.0, 45_000.0]))
+    assert out.tolist() == [6.0, 2.0, 2.0, 0.0, 4.5]
 
 
-def test_non_increasing_clock_rejected():
-    seq = mag_seq([1.0] * 100, 100.0)
-    with pytest.raises(ValueError):
-        resample_to_frames(*seq, [(0, 0), (2, 10_000), (2, 20_000)])
+def test_no_times_give_no_values():
+    out = step_features(stream_of([(0.0, 0.0, 9.81)] * 400), np.empty(0))
+    assert (out.dtype, out.shape, out.flags.writeable) == (np.float64, (0,), False)
 
 
-@pytest.mark.parametrize("stamps", [(0, 10_000, 10_000, 30_000), (0, 10_000, 9_999, 30_000)],
-                         ids=["repeated", "backwards"])
-def test_clock_timestamp_that_does_not_increase_named_by_frame(stamps):
-    """np.interp gives meaningless values for timestamps that do not
-    increase, so the first frame that breaks the rule is named."""
-    clock = list(zip(range(4, 8), stamps))
-    with pytest.raises(ValueError, match=rf"^frame clock: timestamp {stamps[2]} at frame 6 does not increase$"):
-        resample_to_frames(*mag_seq([1.0] * 100, 100.0), clock)
+def test_sample_whose_magnitude_overflows_named_by_index():
+    """Each axis is finite, so the stream accepts the sample; its norm is
+    not, and no numpy warning escapes before it is named."""
+    stream = stream_of([(0.0, 0.0, 9.81), (1.5e308, 1.5e308, 0.0), (0.0, 0.0, 9.81), (1.7e308, 0.0, 1.7e308)])
+    with pytest.raises(ValueError, match=r"^sensor 's': sample \[1.5e\+308, 1.5e\+308, 0.0\] "
+                                         r"at index 1 has a magnitude that overflows$"):
+        magnitude(stream)
 
 
 @pytest.mark.parametrize("acc_rate", [60.0, 333.0])
@@ -252,20 +253,19 @@ def test_stream_and_its_csv_copy_share_rate_and_features(tmp_path, acc_rate):
     write_sensor_csv(path, stream)
     back = read_sensor_csv(path)
     assert back.nominal_rate.hex() == stream.nominal_rate.hex()
-    clock = frame_clock(n=200)
-    assert step_features(back, clock).tobytes() == step_features(stream, clock).tobytes()
+    times = frame_times(n=200)
+    assert step_features(back, times).tobytes() == step_features(stream, times).tobytes()
 
 
 def test_full_chain_is_deterministic():
     stream = stream_of([(0.0, 1.0, 9.0 + math.sin(k / 3)) for k in range(500)])
-    clock = frame_clock(n=120)
-    a = step_features(stream, clock)
-    b = step_features(stream, clock)
+    times = frame_times(n=120)
+    a = step_features(stream, times)
+    b = step_features(stream, times)
     assert a.tobytes() == b.tobytes()
 
 
 def test_feature_sequence_covers_every_frame():
     stream = stream_of([(0.0, 0.0, 9.81)] * 400)
-    clock = frame_clock(n=100)
-    out = step_features(stream, clock)
+    out = step_features(stream, frame_times(n=100))
     assert (out.dtype, out.shape, out.flags.writeable) == (np.float64, (100,), False)

@@ -16,7 +16,7 @@ from stridelink.similarity import ExtremeStream, SimilarityParams
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 
 from conftest import fragmenting_scene, two_person_config
-from helpers import oracle_marks, oracle_pipeline, oracle_ratios, oracle_sim, oracle_tracks
+from helpers import oracle_frame_times, oracle_marks, oracle_pipeline, oracle_ratios, oracle_sim, oracle_tracks
 
 
 def box_with_ratio(r):
@@ -271,8 +271,8 @@ def test_a_trace_mark_first_counts_at_frame_f_plus_half_plus_dif_d(monkeypatch):
     run = run_pipeline(data.frames, data.streams, params)
     d = params.similarity.d
     half = (d + 1) // 2
-    clock = [(fr.frame_index, fr.timestamp) for fr in data.frames]
-    sensor_marks = {s.sensor_id: oracle_marks(step_features(s, clock).tolist(), d) for s in data.streams}
+    times = oracle_frame_times(data.frames)
+    sensor_marks = {s.sensor_id: oracle_marks(step_features(s, times).tolist(), d) for s in data.streams}
     # A trace's marks through its last sighting s depend only on its
     # ratios through s, so one pass over all its sightings serves every f.
     traces = {}
@@ -346,28 +346,59 @@ def test_every_frame_matches_the_oracle_pipeline(seed):
 
 
 def test_non_finite_sensor_feature_named_before_any_frame(monkeypatch):
-    """A stream's samples are finite, but a magnitude may still overflow."""
+    """A stream's samples and their magnitudes are finite, but the filter
+    may still overflow on them."""
     data = generate(two_person_config(duration=300 / 30.0))
     stream = data.streams[1]
     samples = stream.samples.copy()
-    samples[200, :2] = 1.5e308
+    samples[200:260:2, 2] = 1.7e308
     streams = [data.streams[0], SensorStream(stream.sensor_id, stream.ts_us, samples)]
     updates = []
     monkeypatch.setattr(pipeline.Tracker, "update", lambda self, frame: updates.append(frame))
-    with pytest.warns(RuntimeWarning, match="overflow encountered in hypot"), \
-            pytest.raises(ValueError, match=rf"sensor '{stream.sensor_id}': non-finite step feature inf at frame 60$"):
+    with pytest.raises(ValueError, match=rf"^sensor '{stream.sensor_id}': non-finite step feature nan at frame 61$"):
         run_pipeline(data.frames, streams)
     assert updates == []
 
 
-def test_detection_timestamp_that_does_not_increase_rejected():
-    data = generate(two_person_config(duration=300 / 30.0))
-    frames = list(data.frames)
+def rejected_log(frames, message, monkeypatch):
+    """run_pipeline refuses the log with `message` before it filters any
+    sensor or traces any frame."""
+    calls = []
+    monkeypatch.setattr(pipeline, "step_features", lambda *args: calls.append(args))
+    monkeypatch.setattr(pipeline.Tracker, "update", lambda self, frame: calls.append(frame))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_pipeline(frames, generate(two_person_config(duration=300 / 30.0)).streams)
+    assert calls == []
+
+
+def test_detection_timestamp_that_does_not_increase_rejected(monkeypatch):
+    frames = list(generate(two_person_config(duration=300 / 30.0)).frames)
     assert [fr.frame_index for fr in frames[49:51]] == [49, 50]
     frames[50] = DetectionFrame(50, frames[49].timestamp, frames[50].boxes)
-    message = f"frame clock: timestamp {frames[49].timestamp} at frame 50 does not increase"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        run_pipeline(frames, data.streams)
+    ts = frames[49].timestamp
+    rejected_log(frames, f"frame_index 50: timestamp {ts} does not increase past {ts}", monkeypatch)
+
+
+def test_detection_timestamp_that_goes_backwards_rejected(monkeypatch):
+    """The grid's interpolation has no meaning on timestamps that do not
+    increase, so the first frame that breaks the rule is named."""
+    frames = list(generate(two_person_config(duration=300 / 30.0)).frames)
+    ts = frames[49].timestamp
+    frames[50] = DetectionFrame(50, ts - 1, frames[50].boxes)
+    rejected_log(frames, f"frame_index 50: timestamp {ts - 1} does not increase past {ts}", monkeypatch)
+
+
+@pytest.mark.parametrize("index", [49, 48], ids=["repeated", "backwards"])
+def test_frame_index_that_does_not_increase_named_by_frame(index, monkeypatch):
+    frames = list(generate(two_person_config(duration=300 / 30.0)).frames)
+    frames[50] = DetectionFrame(index, frames[50].timestamp, frames[50].boxes)
+    rejected_log(frames, f"frame_index {index} at position 50 does not increase past 49", monkeypatch)
+
+
+def test_negative_timestamp_rejected(monkeypatch):
+    frames = list(generate(two_person_config(duration=300 / 30.0)).frames)
+    frames[0] = DetectionFrame(0, -1, frames[0].boxes)
+    rejected_log(frames, "frame_index 0: negative timestamp", monkeypatch)
 
 
 @pytest.mark.parametrize("w, h, fault", [
@@ -376,18 +407,34 @@ def test_detection_timestamp_that_does_not_increase_rejected():
     (40.0, math.nan, "cx, cy, w, h must be finite"),
     (-math.inf, 0.0, "cx, cy, w, h must be finite"),
 ], ids=["negative-width", "zero-width", "nan-height", "all-three"])
-def test_box_that_breaks_the_box_rule_named_by_frame_and_ordinal(w, h, fault):
+def test_box_that_breaks_the_box_rule_named_by_frame_and_ordinal(w, h, fault, monkeypatch):
     """A negative width would be scored and a zero width would divide by
-    zero: the pipeline applies the detection-log check's box rule first
-    and names the box's first fault."""
-    data = generate(two_person_config(duration=300 / 30.0))
-    frames = list(data.frames)
+    zero: the pipeline applies the detection-log check's rule first and
+    names the box's first fault."""
+    frames = list(generate(two_person_config(duration=300 / 30.0)).frames)
     fr = frames[120]
     boxes = list(fr.boxes)
     boxes[1] = BoundingBox(boxes[1].cx, boxes[1].cy, w, h)
     frames[120] = DetectionFrame(fr.frame_index, fr.timestamp, boxes)
-    with pytest.raises(ValueError, match=rf"^frame {fr.frame_index} box 1: {re.escape(fault)}$"):
-        run_pipeline(frames, data.streams)
+    rejected_log(frames, f"frame_index {fr.frame_index} box 1: {fault}", monkeypatch)
+
+
+def test_skipped_frame_index_takes_interpolated_timestamp(monkeypatch):
+    """The frame grid holds one time per index from the first to the
+    last, an index the log skips at the time between its neighbours, and
+    every sensor's features are sampled at exactly those times."""
+    streams = generate(two_person_config(duration=1.0)).streams
+    frames = [DetectionFrame(f, t) for f, t in [(5, 0), (6, 20_000), (8, 60_000), (9, 70_000)]]
+    grids = []
+    features = pipeline.step_features
+
+    def spy(stream, frame_ts):
+        grids.append(frame_ts.tolist())
+        return features(stream, frame_ts)
+
+    monkeypatch.setattr(pipeline, "step_features", spy)
+    run_pipeline(frames, streams)
+    assert grids == [[0.0, 20_000.0, 40_000.0, 60_000.0, 70_000.0]] * 2
 
 
 def test_two_streams_with_one_sensor_id_rejected():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from stridelink.simulator import (
     ratio_signal,
 )
 
-from helpers import strict_interior_maxima
+from helpers import oracle_frame_times, strict_interior_maxima
 
 
 def same_stream(a, b):
@@ -158,8 +159,7 @@ def test_ratio_peaks_once_per_step():
 
 def test_conditioned_acc_peaks_once_per_step():
     data = generate(clean_config())
-    clock = [(fr.frame_index, fr.timestamp) for fr in data.frames]
-    feats = step_features(data.streams[0], clock)
+    feats = step_features(data.streams[0], oracle_frame_times(data.frames))
     # skip the filter's settling second; steps land every 0.5 s after that
     settled = feats[30:]
     assert strict_interior_maxima(settled) == 18
@@ -231,6 +231,29 @@ def test_path_traversed_at_constant_speed():
 )
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigError):
+        generate(clean_config(**kw))
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(box_noise=math.nan), "box_noise must be finite, got nan"),
+    (dict(duration=math.inf), "duration must be finite, got inf"),
+    (dict(acc_rate=math.inf), "acc_rate must be finite, got inf"),
+    (dict(duration=math.nan), "duration must be finite, got nan"),
+    (dict(fps=math.nan), "fps must be finite, got nan"),
+    (dict(acc_rate=math.nan), "acc_rate must be finite, got nan"),
+    (dict(dropout_prob=-math.inf), "dropout_prob must be finite, got -inf"),
+    (dict(persons=(clean_person(box_height=math.nan),)), "p0: box_height must be finite, got nan"),
+    (dict(persons=(clean_person(phase=math.inf),)), "p0: phase must be finite, got inf"),
+    (dict(persons=(clean_person(), clean_person(person_id="p1", acc_phase_offset=-math.inf))),
+     "p1: acc_phase_offset must be finite, got -inf"),
+    (dict(persons=(clean_person(path=((0.0, 0.0), (100.0, math.nan))),)),
+     "p0: path point 1 must be finite, got (100.0, nan)"),
+], ids=["box_noise-nan", "duration-inf", "acc_rate-inf", "duration-nan", "fps-nan", "acc_rate-nan",
+        "dropout_prob-neg-inf", "box_height-nan", "phase-inf", "acc_phase_offset-neg-inf", "path-nan"])
+def test_non_finite_config_number_named(kw, message):
+    """NaN slips past every comparison and inf overflows the frame count,
+    so each float field and path coordinate is checked first."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         generate(clean_config(**kw))
 
 
