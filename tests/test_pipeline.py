@@ -379,13 +379,13 @@ def test_detection_timestamp_that_does_not_increase_rejected(monkeypatch):
     rejected_log(frames, f"frame_index 50: timestamp {ts} does not increase past {ts}", monkeypatch)
 
 
-def test_detection_timestamp_that_goes_backwards_rejected(monkeypatch):
+@pytest.mark.parametrize("stamps", [(0, 10_000, 10_000, 30_000), (0, 10_000, 9_999, 30_000)],
+                         ids=["repeated", "backwards"])
+def test_detection_timestamp_that_does_not_increase_named_by_frame(stamps, monkeypatch):
     """The grid's interpolation has no meaning on timestamps that do not
     increase, so the first frame that breaks the rule is named."""
-    frames = list(generate(two_person_config(duration=300 / 30.0)).frames)
-    ts = frames[49].timestamp
-    frames[50] = DetectionFrame(50, ts - 1, frames[50].boxes)
-    rejected_log(frames, f"frame_index 50: timestamp {ts - 1} does not increase past {ts}", monkeypatch)
+    frames = [DetectionFrame(f, ts) for f, ts in zip(range(4, 8), stamps)]
+    rejected_log(frames, f"frame_index 6: timestamp {stamps[2]} does not increase past 10000", monkeypatch)
 
 
 @pytest.mark.parametrize("index", [49, 48], ids=["repeated", "backwards"])
