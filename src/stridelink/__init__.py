@@ -43,7 +43,7 @@ from .pairing import (
     solve_matrix,
     update_rsim,
 )
-from .pipeline import FrameResult, MatchRun, PipelineParams, interpolate_gap, run_pipeline
+from .pipeline import FrameResult, MatchRun, PipelineParams, run_pipeline
 from .similarity import (
     ExtremeStream,
     PairScorer,

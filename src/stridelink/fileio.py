@@ -48,8 +48,8 @@ _BOX_KEYS = ("cx", "cy", "w", "h")
 
 def read_detections(path: str) -> list[DetectionFrame]:
     """Frames of a detection log. frame and ts_us must be JSON integers and
-    each box field a JSON number; a boolean is neither, and a rejection
-    names the line and the field."""
+    each box field a JSON number; a boolean is neither. A rejection, also
+    of a box or frame that breaks its own rule, names the line and box."""
     frames: list[DetectionFrame] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -69,7 +69,10 @@ def read_detections(path: str) -> list[DetectionFrame]:
                             and type(h) in _NUMBER):
                         key = next(key for key, v in zip(_BOX_KEYS, box) if type(v) not in _NUMBER)
                         raise TypeError(f"boxes[{k}].{key} must be a number, got {json.dumps(b[key])}")
-                    boxes.append(BoundingBox(float(cx), float(cy), float(w), float(h)))
+                    try:
+                        boxes.append(BoundingBox(float(cx), float(cy), float(w), float(h)))
+                    except ValueError as exc:
+                        raise ValueError(f"boxes[{k}]: {exc}") from None
                 frames.append(DetectionFrame(rec["frame"], rec["ts_us"], tuple(boxes)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
@@ -154,7 +157,8 @@ _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "a numbe
 def read_truth(path: str) -> tuple[dict[str, str], dict[int, tuple[str, ...]]]:
     """Sensor owners and per-frame box owners. sensor_to_person must be an
     object of strings, and box_owners an object with a list of strings
-    under each frame index; a rejection names the file and the key."""
+    under each frame index as write_truth spells it, a bare non-negative
+    int; a rejection names the file and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -178,10 +182,9 @@ def read_truth(path: str) -> tuple[dict[str, str], dict[int, tuple[str, ...]]]:
             where = f"box_owners[{json.dumps(f)}]"
             for k, person in enumerate(checked(persons, list, where)):
                 checked(person, str, f"{where}[{k}]")
-        try:
-            owners[int(f)] = tuple(persons)
-        except ValueError:
-            raise FormatError(f"{path}: box_owners key {json.dumps(f)} is not a frame index") from None
+        if not (f.isascii() and f.isdigit() and str(int(f)) == f):
+            raise FormatError(f"{path}: box_owners key {json.dumps(f)} is not a frame index")
+        owners[int(f)] = tuple(persons)
     return sensors, owners
 
 

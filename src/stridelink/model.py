@@ -2,13 +2,14 @@
 
 Timestamps are integer microseconds since epoch so stream alignment and
 tests stay bit-exact. A sensor recording is two read-only numpy arrays.
-All values here are immutable after construction and safe to share
-across workers.
+Each value here is checked at construction, then immutable and safe to
+share; `validate_detection_log` holds the rules that span frames.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,6 +28,10 @@ class BoundingBox:
     w: float
     h: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy) and 0.0 < self.w < math.inf and 0.0 < self.h < math.inf):
+            raise ValueError(f"cx, cy must be finite and w, h finite and positive, got {self.cx, self.cy, self.w, self.h}")
+
     @property
     def ratio(self) -> float:
         return self.h / self.w
@@ -41,6 +46,12 @@ class DetectionFrame:
     boxes: tuple[BoundingBox, ...]
 
     def __init__(self, frame_index: int, timestamp: Timestamp, boxes: Sequence[BoundingBox] = ()):
+        try:
+            frame_index, timestamp = operator.index(frame_index), operator.index(timestamp)
+        except TypeError:
+            raise ValueError(f"frame_index {frame_index!r}, timestamp {timestamp!r}: both must be integers") from None
+        if timestamp < 0:
+            raise ValueError(f"frame_index {frame_index}: negative timestamp")
         object.__setattr__(self, "frame_index", frame_index)
         object.__setattr__(self, "timestamp", timestamp)
         object.__setattr__(self, "boxes", tuple(boxes))
@@ -48,13 +59,13 @@ class DetectionFrame:
 
 @dataclass(frozen=True, eq=False)
 class SensorStream:
-    """Raw accelerometer recording from a single phone: `ts_us`, int64 of
-    shape (N,), and `samples`, float64 of shape (N, 3), finite rows of ax,
-    ay, az in m/s². Both are copied into read-only arrays. One timestamp
-    per sample, strictly increasing: the interpolation at the frame
-    times has no other meaning. The recording defines its own rate:
-    `nominal_rate` is its N - 1 intervals over the span of `ts_us`, so it
-    needs at least two samples."""
+    """Raw accelerometer recording from a single phone: `ts_us`, integers
+    stored as int64 of shape (N,), and `samples`, float64 of shape (N, 3),
+    finite rows of ax, ay, az in m/s². Both are copied into read-only
+    arrays. One timestamp per sample, strictly increasing: the
+    interpolation at the frame times has no other meaning. The recording
+    defines its own rate: `nominal_rate` is its N - 1 intervals over the
+    span of `ts_us`, so it needs at least two samples."""
 
     sensor_id: str
     ts_us: np.ndarray
@@ -62,9 +73,12 @@ class SensorStream:
     nominal_rate: float = field(init=False)
 
     def __post_init__(self) -> None:
-        ts = np.array(self.ts_us, dtype=np.int64)
-        xyz = np.array(self.samples, dtype=np.float64)
         where = f"sensor {self.sensor_id!r}"
+        ts = np.asarray(self.ts_us)
+        if ts.dtype.kind not in "iu":
+            raise ValueError(f"{where}: ts_us must be integers, got {ts.dtype}")
+        ts = np.array(ts, dtype=np.int64)
+        xyz = np.array(self.samples, dtype=np.float64)
         if ts.ndim != 1:
             raise ValueError(f"{where}: ts_us must be 1-D, got shape {ts.shape}")
         if xyz.ndim != 2 or xyz.shape[1] != 3:
@@ -120,14 +134,10 @@ class ValidationReport:
 
 
 def validate_detection_log(frames: Sequence[DetectionFrame]) -> ValidationReport:
-    """Check a detection log against its structural invariants.
-
+    """Check a detection log against the rule that spans its frames:
+    frame indices and timestamps must increase; skipped indices are allowed.
     Pure report-style check: never raises, same input gives the same report.
-    Flags non-monotone frame indices, negative or non-monotone timestamps,
-    and boxes whose cx, cy, w or h is not finite or whose w or h is not
-    positive (named by frame_index and box ordinal). Skipped frame
-    indices are allowed. This is the one rule of a log: `run_pipeline`
-    raises its first violation.
+    This is the one rule of a log: `run_pipeline` raises its first violation.
     """
     report = ValidationReport()
     prev_index: int | None = None
@@ -137,19 +147,10 @@ def validate_detection_log(frames: Sequence[DetectionFrame]) -> ValidationReport
             report.violations.append(
                 f"frame_index {frame.frame_index} at position {pos} does not increase past {prev_index}"
             )
-        if frame.timestamp < 0:
-            report.violations.append(f"frame_index {frame.frame_index}: negative timestamp")
         if prev_ts is not None and frame.timestamp <= prev_ts:
             report.violations.append(
                 f"frame_index {frame.frame_index}: timestamp {frame.timestamp} does not increase past {prev_ts}"
             )
-        for ordinal, box in enumerate(frame.boxes):
-            if not (math.isfinite(box.cx) and math.isfinite(box.cy) and math.isfinite(box.w) and math.isfinite(box.h)):
-                report.violations.append(f"frame_index {frame.frame_index} box {ordinal}: cx, cy, w, h must be finite")
-            if box.w <= 0:
-                report.violations.append(f"frame_index {frame.frame_index} box {ordinal}: w <= 0")
-            if box.h <= 0:
-                report.violations.append(f"frame_index {frame.frame_index} box {ordinal}: h <= 0")
         prev_index = frame.frame_index
         prev_ts = frame.timestamp
     return report

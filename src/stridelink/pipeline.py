@@ -1,12 +1,13 @@
 """End-to-end streaming pipeline: detections + sensor streams -> pairings.
 
 Per frame: advance the tracer, extend each live trace's ratio stream
-(its boxes' height/width, filling the frames a trace went unseen by
-linear interpolation), then score each gated trace against every sensor
-through this frame and solve both pairing stages. Scores move only when
-a scorer folds a mark, so a frame whose gated traces are last frame's and
-whose score rows are the very arrays they were hands the raw stage last
-frame's matrix object again, which it has already solved.
+(its boxes' height/width, which `ExtremeStream.extend` fills linearly
+over the frames a trace went unseen), then score each gated trace
+against every sensor through this frame and solve both pairing stages.
+Scores move only when a scorer folds a mark, so a frame whose gated
+traces are last frame's and whose score rows are the very arrays they
+were hands the raw stage last frame's matrix object again, which it has
+already solved.
 Both kinds of stream sit on one absolute frame grid: a frame index the
 log skips gets filled values in every stream, but no result of its own.
 Similarity is computed incrementally: each live trace has one record, a
@@ -75,22 +76,6 @@ class MatchRun:
         return len(self.frames) / self.elapsed_s
 
 
-def interpolate_gap(prev_ratio: float, next_ratio: float, gap: int) -> list[float]:
-    """Ratios for the gap-1 missing frames strictly between two sightings."""
-    step = (next_ratio - prev_ratio) / gap
-    return [prev_ratio + step * k for k in range(1, gap)]
-
-
-def _push_sighting(stream: ExtremeStream, frame_index: int, ratio: float) -> None:
-    """Push the h/w of a live trace's sighting, filling the frames since
-    its last one linearly, which adds no extremum inside."""
-    gap = frame_index - (stream.start_frame + len(stream)) + 1
-    if gap > 1:
-        for r in interpolate_gap(stream.last, ratio, gap):
-            stream.push(r)
-    stream.push(ratio)
-
-
 def run_pipeline(
     frames: Sequence[DetectionFrame],
     streams: Iterable[SensorStream],
@@ -135,7 +120,7 @@ def run_pipeline(
             scorer = scorers.get(trace_id)
             if scorer is None:
                 scorer = scorers[trace_id] = PairScorer(ExtremeStream(params.similarity.d, f), row)
-            _push_sighting(scorer.t, f, frame.boxes[ordinal].ratio)
+            scorer.t.extend(f, frame.boxes[ordinal].ratio)
 
         for tid in tracker.retired:
             del scorers[tid]

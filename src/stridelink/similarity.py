@@ -161,8 +161,8 @@ class SimilarityMatrix:
 
 
 class ExtremeStream:
-    """Incrementally classifies a growing sequence, finalizing position x
-    once values through x + half exist. Finalized marks never change."""
+    """Incrementally classifies a growing sequence from start_frame on,
+    finalizing x once values through x + half exist. Marks never change."""
 
     def __init__(self, d: int, start_frame: int = 0):
         self.half = (d + 1) // 2
@@ -173,11 +173,6 @@ class ExtremeStream:
     def __len__(self) -> int:
         return len(self._values)
 
-    @property
-    def last(self) -> float:
-        """The value pushed last."""
-        return self._values[-1]
-
     def push(self, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError(f"non-finite value {value} at frame {self.start_frame + len(self._values)}")
@@ -185,6 +180,23 @@ class ExtremeStream:
         x = len(self._values) - 1 - self.half
         if x >= 0:
             self.marks.append(_classify(self._values, x, self.half))
+
+    def extend(self, frame_index: int, value: float) -> None:
+        """Push `value` at `frame_index`, the first at start_frame and each
+        later one ahead, after the linear fill of every frame between,
+        which adds no extremum inside."""
+        last = self.start_frame + len(self._values) - 1
+        gap = frame_index - last
+        if not self._values and gap != 1:
+            raise ValueError(f"frame {frame_index}: an empty stream starts at frame {self.start_frame}")
+        if gap < 1:
+            raise ValueError(f"frame {frame_index} is not ahead of frame {last}, the last one pushed")
+        if gap > 1:
+            prev = self._values[-1]
+            step = (value - prev) / gap
+            for k in range(1, gap):
+                self.push(prev + step * k)
+        self.push(value)
 
 
 def mark_extremes(values: np.ndarray, d: int) -> np.ndarray:

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from stridelink.pipeline import PipelineParams, run_pipeline
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
+
+# Property tests draw the same examples on every run and keep no
+# example database between runs.
+settings.register_profile("stridelink", derandomize=True, database=None, deadline=None)
+settings.load_profile("stridelink")
 
 # Three walkers with clearly separated cadences and paths, the package's
 # reference scenario for end-to-end checks.

@@ -196,7 +196,10 @@ def test_invalid_box_rejected_by_validation(tmp_path, capsys):
     det.write_text("\n".join(lines) + "\n")
     cfg = write_cfg(tmp_path, name="c3.json")
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
-    assert "malformed" in capsys.readouterr().err
+    box = rec["boxes"][0]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {det}:1: boxes[0]: cx, cy must be finite and w, h finite and positive, "
+        f"got {(box['cx'], box['cy'], box['w'], -5.0)}")
 
 
 def test_sweep_requires_truth(tmp_path, capsys):
@@ -551,9 +554,10 @@ def test_non_finite_box_rejected_by_validation(tmp_path, capsys, field):
     lines[3] = json.dumps(rec, separators=(",", ":"))
     det.write_text("\n".join(lines) + "\n")
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
-    err = capsys.readouterr().err.splitlines()[-1]
-    assert err.startswith("error:")
-    assert "frame_index 3 box 1: cx, cy, w, h must be finite" in err
+    box = rec["boxes"][1]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {det}:4: boxes[1]: cx, cy must be finite and w, h finite and positive, "
+        f"got {(box['cx'], box['cy'], box['w'], box['h'])}")
 
 
 def test_missing_frame_index_is_skipped(tmp_path):

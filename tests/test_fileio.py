@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stridelink.evaluation import TsSweepRow
+from stridelink.model import BoundingBox, DetectionFrame
 from stridelink.fileio import (
     FormatError,
     format_sweep_table,
@@ -87,6 +88,20 @@ def test_truth_of_wrong_json_type_named_with_key(tmp_path, data, edit, problem):
     assert str(info.value) == f"{path}: {problem}"
 
 
+@pytest.mark.parametrize("key", ["01", "1_0", " 2", "-3"])
+def test_truth_frame_key_not_written_as_write_truth_writes_it_rejected(tmp_path, data, key):
+    """int() would read "01" as frame 1, the later key silently winning,
+    "1_0" as frame 10, " 2" as frame 2 and "-3" as frame -3."""
+    path = tmp_path / "truth.json"
+    write_truth(str(path), data.sensor_owners, data.box_owners)
+    payload = json.loads(path.read_text())
+    payload["box_owners"][key] = []
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError) as info:
+        read_truth(str(path))
+    assert str(info.value) == f"{path}: box_owners key {json.dumps(key)} is not a frame index"
+
+
 def test_truth_that_is_not_an_object_rejected(tmp_path):
     path = tmp_path / "truth.json"
     path.write_text("[]")
@@ -118,6 +133,47 @@ def test_detection_field_of_wrong_type_named_with_position(tmp_path, record, mes
     path.write_text('{"frame":0,"ts_us":0,"boxes":[]}\n' + record + "\n")
     with pytest.raises(FormatError, match=rf"bad\.jsonl:2: {re.escape(message)}$"):
         read_detections(str(path))
+
+
+BOX_RULE = "cx, cy must be finite and w, h finite and positive"
+
+
+@pytest.mark.parametrize("w, h", [(-40.0, 80.0), (0.0, 80.0), (40.0, math.nan), (-math.inf, 0.0)],
+                         ids=["negative-width", "zero-width", "nan-height", "all-three"])
+def test_box_that_breaks_the_box_rule_cannot_be_built_and_a_file_names_line_and_box(tmp_path, data, w, h):
+    """A negative width would be scored and a zero width would divide by
+    zero: such a box cannot be built, and a detection log that holds one
+    is refused naming its line and the box's ordinal."""
+    with pytest.raises(ValueError, match=re.escape(f"{BOX_RULE}, got {(100.0, 50.0, w, h)}") + "$"):
+        BoundingBox(100.0, 50.0, w, h)
+    path = tmp_path / "detections.jsonl"
+    write_detections(str(path), data.frames)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[60])
+    box = record["boxes"][1]
+    box.update(w=w, h=h)
+    lines[60] = json.dumps(record, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}:61: boxes[1]: {BOX_RULE}, got {(box['cx'], box['cy'], w, h)}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read_detections(str(path))
+
+
+def test_negative_timestamp_named_with_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"frame":0,"ts_us":0,"boxes":[]}\n{"frame":1,"ts_us":-5,"boxes":[]}\n')
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: frame_index 1: negative timestamp$"):
+        read_detections(str(path))
+
+
+def test_frame_with_numpy_integer_fields_round_trips(tmp_path):
+    """numpy integers are stored as Python ints, so the writer can
+    encode them and the reader gives the same frame back."""
+    frame = DetectionFrame(np.int64(3), np.int64(100_000), [BoundingBox(10.0, 20.0, 30.0, 60.5)])
+    assert (type(frame.frame_index), type(frame.timestamp)) == (int, int)
+    path = str(tmp_path / "detections.jsonl")
+    write_detections(path, [frame])
+    assert read_detections(path) == [frame]
 
 
 def test_integer_box_fields_read_as_floats(tmp_path):

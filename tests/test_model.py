@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stridelink.model import (
     BoundingBox,
@@ -29,17 +31,55 @@ def test_well_formed_log_has_no_violations():
     assert validate_detection_log(frames).ok
 
 
-def test_zero_height_box_named_by_frame_and_ordinal():
-    frames = [frame(4, 0, BoundingBox(1, 1, 5, 5), BoundingBox(2, 2, 5, 0))]
-    report = validate_detection_log(frames)
-    assert len(report.violations) == 1
-    assert "frame_index 4" in report.violations[0]
-    assert "box 1" in report.violations[0]
+BOX_RULE = "cx, cy must be finite and w, h finite and positive"
+
+
+def test_zero_height_box_cannot_be_built():
+    with pytest.raises(ValueError, match=rf"^{BOX_RULE}, got \(2, 2, 5, 0\)$"):
+        BoundingBox(2, 2, 5, 0)
 
 
 def test_negative_width_flagged():
-    report = validate_detection_log([frame(0, 0, BoundingBox(1, 1, -2, 5))])
-    assert any("w <= 0" in v for v in report.violations)
+    with pytest.raises(ValueError, match=rf"^{BOX_RULE}, got \(1, 1, -2, 5\)$"):
+        BoundingBox(1, 1, -2, 5)
+
+
+@given(st.floats(), st.floats(), st.floats(), st.floats())
+def test_box_builds_exactly_when_the_box_rule_holds(cx, cy, w, h):
+    holds = math.isfinite(cx) and math.isfinite(cy) and math.isfinite(w) and math.isfinite(h) and w > 0 and h > 0
+    try:
+        BoundingBox(cx, cy, w, h)
+    except ValueError:
+        assert not holds
+    else:
+        assert holds
+
+
+NUMBERS = st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64), st.floats(),
+                    st.integers(-2**53, 2**53).map(float))
+
+
+@given(NUMBERS, NUMBERS)
+def test_frame_builds_exactly_when_its_fields_are_integers_and_its_timestamp_not_negative(i, ts):
+    integers = isinstance(i, (int, np.integer)) and isinstance(ts, (int, np.integer))
+    try:
+        built = DetectionFrame(i, ts)
+    except ValueError:
+        assert not (integers and ts >= 0)
+    else:
+        assert integers and ts >= 0
+        assert (type(built.frame_index), type(built.timestamp)) == (int, int)
+        assert (built.frame_index, built.timestamp) == (i, ts)
+
+
+@pytest.mark.parametrize("i, ts, message", [
+    (3, math.nan, "frame_index 3, timestamp nan: both must be integers"),
+    (3, 333333.5, "frame_index 3, timestamp 333333.5: both must be integers"),
+    (2.0, 0, "frame_index 2.0, timestamp 0: both must be integers"),
+], ids=["nan-timestamp", "fractional-timestamp", "float-index"])
+def test_frame_that_cannot_be_built_named(i, ts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DetectionFrame(i, ts)
 
 
 def test_decreasing_frame_index_flagged():
@@ -55,10 +95,11 @@ def test_non_monotone_timestamp_flagged():
 
 
 def test_validation_is_pure():
-    frames = [frame(3, 0, BoundingBox(1, 1, 0, 5)), frame(2, 5)]
+    frames = [frame(3, 5, BoundingBox(1, 1, 2, 5)), frame(2, 5)]
     first = validate_detection_log(frames).violations
     second = validate_detection_log(frames).violations
-    assert first == second
+    assert first == second == ["frame_index 2 at position 1 does not increase past 3",
+                               "frame_index 2: timestamp 5 does not increase past 5"]
 
 
 def test_two_sensors_cannot_claim_one_person():
@@ -93,6 +134,15 @@ XYZ4 = [(0.0, 0.0, 9.81)] * 4
 def test_stream_that_cannot_be_interpolated_rejected_at_construction(ts, samples, message):
     with pytest.raises(ValueError, match=rf"^sensor 'phone': {message}$"):
         SensorStream("phone", ts, samples)
+
+
+@pytest.mark.parametrize("ts, kind", [([0.5, 10000.7, 20000.2], "float64"), ([0.0, 10_000.0], "float64"),
+                                      ([False, True], "bool")], ids=["fractional", "whole-floats", "bool"])
+def test_stream_timestamps_that_are_not_integers_rejected(ts, kind):
+    """A fractional timestamp is refused, not cut to an integer: cut,
+    the first case would read as a 100 Hz stream."""
+    with pytest.raises(ValueError, match=f"^sensor 'phone': ts_us must be integers, got {kind}$"):
+        SensorStream("phone", ts, XYZ4[:len(ts)])
 
 
 def test_stream_rate_is_its_intervals_over_its_span():

@@ -1,8 +1,9 @@
-"""The video feature: a live trace's ratio stream, as `pipeline._push_sighting`
+"""The video feature: a live trace's ratio stream, as `ExtremeStream.extend`
 fills it, checked against the literal fill rule in helpers.oracle_ratios."""
 
+import pytest
+
 from stridelink.model import BoundingBox
-from stridelink.pipeline import _push_sighting, interpolate_gap
 from stridelink.similarity import ExtremeStream
 from stridelink.simulator import PersonSpec, ScenarioConfig, generate
 from stridelink.tracer import Tracker
@@ -23,7 +24,7 @@ def live(sightings, d=10):
 
     stream.push = record
     for f, r in sightings:
-        _push_sighting(stream, f, r)
+        stream.extend(f, r)
     return stream, pushed
 
 
@@ -55,8 +56,29 @@ def test_length_covers_full_span():
 
 
 def test_interpolate_gap_endpoints_excluded():
-    assert interpolate_gap(2.0, 3.0, 4) == [2.25, 2.5, 2.75]
-    assert interpolate_gap(2.0, 3.0, 4) == oracle_ratios([(0, 2.0), (4, 3.0)])[1:-1]
+    _, pushed = live([(0, 2.0), (4, 3.0)])
+    assert pushed[1:-1] == [2.25, 2.5, 2.75] == oracle_ratios([(0, 2.0), (4, 3.0)])[1:-1]
+
+
+@pytest.mark.parametrize("sightings, message", [
+    ([(5, 2.0), (7, 2.5), (7, 3.0)], "frame 7 is not ahead of frame 7, the last one pushed"),
+    ([(5, 2.0), (7, 2.5), (6, 3.0)], "frame 6 is not ahead of frame 7, the last one pushed"),
+], ids=["repeated", "backwards"])
+def test_sighting_not_ahead_of_the_last_rejected(sightings, message):
+    stream = ExtremeStream(10, 5)
+    for f, r in sightings[:-1]:
+        stream.extend(f, r)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stream.extend(*sightings[-1])
+    assert len(stream) == 3
+
+
+@pytest.mark.parametrize("frame", [4, 6])
+def test_first_sighting_away_from_the_start_frame_rejected(frame):
+    stream = ExtremeStream(10, 5)
+    with pytest.raises(ValueError, match=f"^frame {frame}: an empty stream starts at frame 5$"):
+        stream.extend(frame, 2.0)
+    assert len(stream) == 0
 
 
 def test_scaling_ratios_keeps_extremum_marks():
