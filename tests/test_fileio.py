@@ -135,30 +135,6 @@ def test_detection_field_of_wrong_type_named_with_position(tmp_path, record, mes
         read_detections(str(path))
 
 
-BOX_RULE = "cx, cy must be finite and w, h finite and positive"
-
-
-@pytest.mark.parametrize("w, h", [(-40.0, 80.0), (0.0, 80.0), (40.0, math.nan), (-math.inf, 0.0)],
-                         ids=["negative-width", "zero-width", "nan-height", "all-three"])
-def test_box_that_breaks_the_box_rule_cannot_be_built_and_a_file_names_line_and_box(tmp_path, data, w, h):
-    """A negative width would be scored and a zero width would divide by
-    zero: such a box cannot be built, and a detection log that holds one
-    is refused naming its line and the box's ordinal."""
-    with pytest.raises(ValueError, match=re.escape(f"{BOX_RULE}, got {(100.0, 50.0, w, h)}") + "$"):
-        BoundingBox(100.0, 50.0, w, h)
-    path = tmp_path / "detections.jsonl"
-    write_detections(str(path), data.frames)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[60])
-    box = record["boxes"][1]
-    box.update(w=w, h=h)
-    lines[60] = json.dumps(record, separators=(",", ":"))
-    path.write_text("\n".join(lines) + "\n")
-    message = f"{path}:61: boxes[1]: {BOX_RULE}, got {(box['cx'], box['cy'], w, h)}"
-    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
-        read_detections(str(path))
-
-
 def test_negative_timestamp_named_with_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"frame":0,"ts_us":0,"boxes":[]}\n{"frame":1,"ts_us":-5,"boxes":[]}\n')

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import re
@@ -8,7 +9,7 @@ import pytest
 
 from stridelink import pairing, pipeline
 from stridelink.acc_features import step_features
-from stridelink.fileio import write_assignments
+from stridelink.fileio import FormatError, read_detections, write_assignments, write_detections
 from stridelink.model import BoundingBox, DetectionFrame, SensorStream
 from stridelink.pairing import solve_matrix
 from stridelink.pipeline import PipelineParams, run_pipeline
@@ -400,6 +401,32 @@ def test_negative_timestamp_rejected():
     reaches the pipeline holds one."""
     with pytest.raises(ValueError, match="^frame_index 0: negative timestamp$"):
         DetectionFrame(0, -1, [BoundingBox(100.0, 100.0, 40.0, 80.0)])
+
+
+BOX_RULE = "cx, cy must be finite and w, h finite and positive"
+
+
+@pytest.mark.parametrize("w, h", [(-40.0, 80.0), (0.0, 80.0), (40.0, math.nan), (-math.inf, 0.0)],
+                         ids=["negative-width", "zero-width", "nan-height", "all-three"])
+def test_box_that_breaks_the_box_rule_named_by_frame_and_ordinal(tmp_path, w, h):
+    """A negative width would be scored and a zero width would divide by
+    zero: such a box cannot be built, so no log that reaches the pipeline
+    holds one, and a detection log that holds one is refused naming the
+    line of its frame and the box's ordinal."""
+    with pytest.raises(ValueError, match=re.escape(f"{BOX_RULE}, got {(100.0, 50.0, w, h)}") + "$"):
+        BoundingBox(100.0, 50.0, w, h)
+    path = tmp_path / "detections.jsonl"
+    write_detections(str(path), generate(two_person_config(duration=300 / 30.0)).frames)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[120])
+    assert record["frame"] == 120
+    box = record["boxes"][1]
+    box.update(w=w, h=h)
+    lines[120] = json.dumps(record, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}:121: boxes[1]: {BOX_RULE}, got {(box['cx'], box['cy'], w, h)}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read_detections(str(path))
 
 
 def test_skipped_frame_index_takes_interpolated_timestamp(monkeypatch):
