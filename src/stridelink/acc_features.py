@@ -129,5 +129,10 @@ def resample_to_frames(stream: SensorStream, values: np.ndarray, frame_ts: np.nd
 
 
 def step_features(stream: SensorStream, frame_ts: np.ndarray) -> np.ndarray:
-    """Full per-sensor pipeline: magnitude -> lowpass -> frame alignment."""
-    return resample_to_frames(stream, lowpass(magnitude(stream), stream.nominal_rate), frame_ts)
+    """Full per-sensor pipeline: magnitude -> lowpass -> frame alignment.
+    A rate too low for the filter is named with the sensor."""
+    try:
+        filtered = lowpass(magnitude(stream), stream.nominal_rate)
+    except NyquistViolation as exc:
+        raise NyquistViolation(f"sensor {stream.sensor_id!r}: {exc}") from None
+    return resample_to_frames(stream, filtered, frame_ts)

@@ -35,26 +35,20 @@ from .simulator import PersonSpec, ScenarioConfig, ScenarioData, generate
 from .tracer import TracerParams
 
 
-def _number(value) -> bool:
-    try:  # an int too large for a float is not a number
-        return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 # Every config field's JSON kind, keyed by the annotation text fields() reports (the
 # config modules postpone annotations): the name an error gives it, the test a value
 # must pass and the conversion it then gets. An annotation "X | None" also takes null.
+# Which values of its kind a field takes, finiteness included, is its record's rule.
 _KINDS = {
     "str": ("a string", lambda v: isinstance(v, str), None),
     "list[str]": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), None),
     "dict": ("an object", lambda v: isinstance(v, dict), None),
-    "float": ("a number", _number, float),
+    "float": ("a number", fileio.is_number, float),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), None),
     "tuple[tuple[float, float], ...]": (
         "a list of [x, y] number pairs",
         lambda v: isinstance(v, list) and all(
-            isinstance(xy, list) and len(xy) == 2 and all(map(_number, xy)) for xy in v),
+            isinstance(xy, list) and len(xy) == 2 and all(map(fileio.is_number, xy)) for xy in v),
         lambda v: tuple((float(x), float(y)) for x, y in v)),
 }
 # Top-level keys of the "match" section, annotated as a dataclass field would be.
@@ -110,18 +104,18 @@ def _scenario_config(cfg: dict, seed_override: int | None) -> ScenarioConfig:
         raise CliError('config needs a "scenario" object')
     sc = dict(sc)
     persons_raw = sc.pop("persons", None)
-    if not isinstance(persons_raw, list) or not persons_raw:
-        raise CliError('"scenario.persons" must be a non-empty list')
+    if not isinstance(persons_raw, list):
+        raise CliError('"scenario.persons" must be a list')
     persons = []
     for k, p in enumerate(persons_raw):
+        where = f"scenario.persons[{k}]"
         if not isinstance(p, dict):
-            raise CliError(f"scenario.persons[{k}] must be an object")
-        person = _from_dict(PersonSpec, p, f"scenario.persons[{k}]")
-        sensor = person.sensor  # simulate writes sensors/<id>.csv; match's *.csv glob skips dot files
-        if not sensor or sensor.startswith(".") or any(sep and sep in sensor for sep in (os.sep, os.altsep)):
-            raise CliError(f"scenario.persons[{k}]: sensor id {json.dumps(sensor)} cannot name a file: "
-                           "it must be non-empty, not start with '.' and hold no path separator")
-        persons.append(person)
+            raise CliError(f"{where} must be an object")
+        persons.append(_from_dict(PersonSpec, p, where))
+        try:  # simulate writes sensors/<id>.csv, so it is refused before any file is written
+            fileio.check_sensor_id(persons[-1].sensor)
+        except ValueError as exc:
+            raise CliError(f"{where}: {exc}") from exc
     if seed_override is not None:
         sc["seed"] = seed_override
     return _from_dict(ScenarioConfig, sc, "scenario", persons=tuple(persons))

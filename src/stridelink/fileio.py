@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,12 +45,27 @@ def write_detections(path: str, frames: Iterable[DetectionFrame]) -> None:
 # The Python types json.loads gives a JSON number; bool is not among them.
 _NUMBER = (int, float)
 _BOX_KEYS = ("cx", "cy", "w", "h")
+# The JSON kind of each Python type json.loads gives.
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def is_number(value) -> bool:
+    """Whether a value json.loads gave is a number a float holds: a float
+    (NaN and inf are the record's to refuse) or an int within float range."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
+def _not_a_number(box: dict, k: int) -> TypeError:
+    key = next(key for key in _BOX_KEYS if not is_number(box[key]))
+    return TypeError(f"boxes[{k}].{key} must be a number, got {json.dumps(box[key])}")
 
 
 def read_detections(path: str) -> list[DetectionFrame]:
-    """Frames of a detection log. frame and ts_us must be JSON integers and
-    each box field a JSON number; a boolean is neither. A rejection, also
-    of a box or frame that breaks its own rule, names the line and box."""
+    """Frames of a detection log. frame and ts_us must be JSON integers,
+    boxes a list of objects and each box field a number a float holds; a
+    boolean is neither. A rejection, also of a box or frame that breaks its
+    own rule, names the line and box."""
     frames: list[DetectionFrame] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -61,16 +77,21 @@ def read_detections(path: str) -> list[DetectionFrame]:
                 for key in ("frame", "ts_us"):
                     if type(rec[key]) is not int:
                         raise TypeError(f"{key} must be an integer, got {json.dumps(rec[key])}")
+                if type(rec["boxes"]) is not list:
+                    raise TypeError(f"boxes must be a list, got {_JSON_KINDS[type(rec['boxes'])]}")
                 boxes = []
                 for k, b in enumerate(rec["boxes"]):
-                    cx, cy, w, h = box = b["cx"], b["cy"], b["w"], b["h"]
+                    if type(b) is not dict:
+                        raise TypeError(f"boxes[{k}] must be an object, got {_JSON_KINDS[type(b)]}")
+                    cx, cy, w, h = b["cx"], b["cy"], b["w"], b["h"]
                     # spelled out: this runs once per box of the log
                     if not (type(cx) in _NUMBER and type(cy) in _NUMBER and type(w) in _NUMBER
                             and type(h) in _NUMBER):
-                        key = next(key for key, v in zip(_BOX_KEYS, box) if type(v) not in _NUMBER)
-                        raise TypeError(f"boxes[{k}].{key} must be a number, got {json.dumps(b[key])}")
+                        raise _not_a_number(b, k)
                     try:
                         boxes.append(BoundingBox(float(cx), float(cy), float(w), float(h)))
+                    except OverflowError:  # an int beyond float range
+                        raise _not_a_number(b, k) from None
                     except ValueError as exc:
                         raise ValueError(f"boxes[{k}]: {exc}") from None
                 frames.append(DetectionFrame(rec["frame"], rec["ts_us"], tuple(boxes)))
@@ -79,7 +100,16 @@ def read_detections(path: str) -> list[DetectionFrame]:
     return frames
 
 
+def check_sensor_id(sensor_id: str) -> None:
+    """A stream is read back named by its file's stem, and match's *.csv
+    glob skips dot files, so its id must be able to name that file."""
+    if not sensor_id or sensor_id.startswith(".") or any(sep and sep in sensor_id for sep in (os.sep, os.altsep)):
+        raise ValueError(f"sensor id {json.dumps(sensor_id)} cannot name a file: "
+                         "it must be non-empty, not start with '.' and hold no path separator")
+
+
 def write_sensor_csv(path: str, stream: SensorStream) -> None:
+    check_sensor_id(stream.sensor_id)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SENSOR_HEADER)
@@ -149,11 +179,6 @@ def write_truth(path: str, sensor_owners: dict[str, str],
         fh.write("\n")
 
 
-# The JSON kind of each Python type json.loads gives.
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "a number", float: "a number",
-               bool: "a boolean", type(None): "null"}
-
-
 def read_truth(path: str) -> tuple[dict[str, str], dict[int, tuple[str, ...]]]:
     """Sensor owners and per-frame box owners. sensor_to_person must be an
     object of strings, and box_owners an object with a list of strings
@@ -182,9 +207,13 @@ def read_truth(path: str) -> tuple[dict[str, str], dict[int, tuple[str, ...]]]:
             where = f"box_owners[{json.dumps(f)}]"
             for k, person in enumerate(checked(persons, list, where)):
                 checked(person, str, f"{where}[{k}]")
-        if not (f.isascii() and f.isdigit() and str(int(f)) == f):
+        try:  # int() refuses a key beyond the interpreter's digit limit
+            frame = int(f) if f.isascii() and f.isdigit() else None
+        except ValueError:
+            frame = None
+        if frame is None or str(frame) != f:
             raise FormatError(f"{path}: box_owners key {json.dumps(f)} is not a frame index")
-        owners[int(f)] = tuple(persons)
+        owners[frame] = tuple(persons)
     return sensors, owners
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 # Integer microseconds since epoch.
 Timestamp = int
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,8 @@ class BoundingBox:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.cx) and math.isfinite(self.cy) and 0.0 < self.w < math.inf and 0.0 < self.h < math.inf):
             raise ValueError(f"cx, cy must be finite and w, h finite and positive, got {self.cx, self.cy, self.w, self.h}")
+        if not self.h / self.w < math.inf:
+            raise ValueError(f"h / w must be finite, got {self.h} / {self.w}")
 
     @property
     def ratio(self) -> float:
@@ -52,6 +55,8 @@ class DetectionFrame:
             raise ValueError(f"frame_index {frame_index!r}, timestamp {timestamp!r}: both must be integers") from None
         if timestamp < 0:
             raise ValueError(f"frame_index {frame_index}: negative timestamp")
+        if timestamp > _INT64_MAX:  # the frame grid is computed in numpy
+            raise ValueError(f"frame_index {frame_index}: timestamp beyond int64")
         object.__setattr__(self, "frame_index", frame_index)
         object.__setattr__(self, "timestamp", timestamp)
         object.__setattr__(self, "boxes", tuple(boxes))

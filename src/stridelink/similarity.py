@@ -191,6 +191,8 @@ class ExtremeStream:
             raise ValueError(f"frame {frame_index}: an empty stream starts at frame {self.start_frame}")
         if gap < 1:
             raise ValueError(f"frame {frame_index} is not ahead of frame {last}, the last one pushed")
+        if not math.isfinite(value):  # named at its own frame, not the first one filled
+            raise ValueError(f"non-finite value {value} at frame {frame_index}")
         if gap > 1:
             prev = self._values[-1]
             step = (value - prev) / gap

@@ -13,7 +13,8 @@ frequency or phase drift apart. The |cos| form mirrors how impact
 magnitude spikes at each footfall regardless of which leg lands; the
 ratio's full cosine at doubled frequency mirrors the silhouette widening
 at every step. Noise is additive Gaussian; detections drop out
-independently per frame.
+independently per frame. A `PersonSpec` and a `ScenarioConfig` refuse a
+bad value when built, so any config that exists can be generated.
 
 All randomness flows from one 64-bit seed through a xorshift64* generator,
 fully specified below, so identical configurations reproduce identical
@@ -87,12 +88,21 @@ class Xorshift64Star:
                 return sigma * u * math.sqrt(-2.0 * math.log(s) / s)
 
 
+def _require_finite(obj: ScenarioConfig | PersonSpec, where: str = "") -> None:
+    """Reject the first float field of obj that is NaN or infinite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ConfigError(f"{where}{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PersonSpec:
     """One walker. stride_frequency is strides per second (a stride is two
     steps); phase in radians positions the gait cycle at t=0. The path is a
     waypoint polyline in pixels, traversed once at constant speed over the
-    scenario duration."""
+    scenario duration. A value that breaks its rule, NaN or inf included, is
+    a ConfigError naming the person and the field."""
 
     person_id: str
     stride_frequency: float
@@ -105,6 +115,23 @@ class PersonSpec:
     carry_noise: float = 0.3
     box_height: float = 180.0
     sensor_id: str | None = None
+
+    def __post_init__(self) -> None:
+        where = f"{self.person_id}: "
+        _require_finite(self, where)
+        for k, point in enumerate(self.path):
+            if not all(math.isfinite(c) for c in point):
+                raise ConfigError(f"{where}path point {k} must be finite, got {point}")
+        if not 0.3 < self.stride_frequency < 3.0:
+            raise ConfigError(f"{where}stride_frequency outside (0.3, 3.0) Hz")
+        if self.base_ratio <= 0 or self.ratio_amplitude < 0 or self.ratio_amplitude >= self.base_ratio:
+            raise ConfigError(f"{where}need 0 <= ratio_amplitude < base_ratio")
+        if self.acc_peak < 0 or self.carry_noise < 0:
+            raise ConfigError(f"{where}acc_peak and carry_noise must be >= 0")
+        if self.box_height <= 0:
+            raise ConfigError(f"{where}box_height must be positive")
+        if not self.path:
+            raise ConfigError(f"{where}path needs at least one waypoint")
 
     @property
     def sensor(self) -> str:
@@ -121,6 +148,27 @@ class ScenarioConfig:
     dropout_prob: float = 0.02
     seed: int = 1
 
+    def __post_init__(self) -> None:
+        if not self.persons:
+            raise ConfigError("at least one person required")
+        _require_finite(self)
+        if self.duration <= 0:
+            raise ConfigError("duration must be positive")
+        if self.fps <= 0:
+            raise ConfigError("fps must be positive")
+        if self.acc_rate < 30:
+            raise ConfigError("acc_rate must be >= 30 Hz")
+        if not 0.0 <= self.dropout_prob < 1.0:
+            raise ConfigError("dropout_prob must be in [0, 1)")
+        if self.box_noise < 0:
+            raise ConfigError("box_noise must be >= 0")
+        seen: set[tuple[str, str]] = set()
+        for p in self.persons:
+            for key in (("person_id", p.person_id), ("sensor id", p.sensor)):
+                if key in seen:
+                    raise ConfigError(f"duplicate {key[0]} {key[1]!r}")
+                seen.add(key)
+
 
 @dataclass(frozen=True)
 class ScenarioData:
@@ -134,53 +182,6 @@ class ScenarioData:
     box_owners: dict[int, tuple[str, ...]]
 
 
-def _require_finite(obj: ScenarioConfig | PersonSpec, where: str = "") -> None:
-    """Reject the first float field of obj that is NaN or infinite."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type == "float" and not math.isfinite(value):
-            raise ConfigError(f"{where}{f.name} must be finite, got {value}")
-
-
-def _validate(config: ScenarioConfig) -> None:
-    if not config.persons:
-        raise ConfigError("at least one person required")
-    _require_finite(config)
-    if config.duration <= 0:
-        raise ConfigError("duration must be positive")
-    if config.fps <= 0:
-        raise ConfigError("fps must be positive")
-    if config.acc_rate < 30:
-        raise ConfigError("acc_rate must be >= 30 Hz")
-    if not 0.0 <= config.dropout_prob < 1.0:
-        raise ConfigError("dropout_prob must be in [0, 1)")
-    if config.box_noise < 0:
-        raise ConfigError("box_noise must be >= 0")
-    seen_p: set[str] = set()
-    seen_s: set[str] = set()
-    for p in config.persons:
-        _require_finite(p, f"{p.person_id}: ")
-        for k, point in enumerate(p.path):
-            if not all(math.isfinite(c) for c in point):
-                raise ConfigError(f"{p.person_id}: path point {k} must be finite, got {point}")
-        if p.person_id in seen_p:
-            raise ConfigError(f"duplicate person_id {p.person_id!r}")
-        if p.sensor in seen_s:
-            raise ConfigError(f"duplicate sensor id {p.sensor!r}")
-        seen_p.add(p.person_id)
-        seen_s.add(p.sensor)
-        if not 0.3 < p.stride_frequency < 3.0:
-            raise ConfigError(f"{p.person_id}: stride_frequency outside (0.3, 3.0) Hz")
-        if p.base_ratio <= 0 or p.ratio_amplitude < 0 or p.ratio_amplitude >= p.base_ratio:
-            raise ConfigError(f"{p.person_id}: need 0 <= ratio_amplitude < base_ratio")
-        if p.acc_peak < 0 or p.carry_noise < 0:
-            raise ConfigError(f"{p.person_id}: acc_peak and carry_noise must be >= 0")
-        if p.box_height <= 0:
-            raise ConfigError(f"{p.person_id}: box_height must be positive")
-        if len(p.path) < 1:
-            raise ConfigError(f"{p.person_id}: path needs at least one waypoint")
-
-
 class _Path:
     """Constant-speed traversal of a waypoint polyline over `duration`."""
 
@@ -189,7 +190,7 @@ class _Path:
         self.cum = [0.0]
         for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
             self.cum.append(self.cum[-1] + math.hypot(x1 - x0, y1 - y0))
-        self.speed = self.cum[-1] / duration if duration > 0 else 0.0
+        self.speed = self.cum[-1] / duration
 
     def at(self, t: float) -> tuple[float, float]:
         target = self.speed * t
@@ -222,29 +223,24 @@ def acc_signal(p: PersonSpec, t: float) -> float:
 
 def generate(config: ScenarioConfig) -> ScenarioData:
     """Deterministically generate a scenario from its config and seed."""
-    _validate(config)
     n_frames = round(config.duration * config.fps)
     n_samples = round(config.duration * config.acc_rate)
 
-    paths = {p.person_id: _Path(p.path, config.duration) for p in config.persons}
+    paths = [_Path(p.path, config.duration) for p in config.persons]
     frames: list[DetectionFrame] = []
     box_owners: dict[int, tuple[str, ...]] = {}
-    video_rngs = {
-        p.person_id: Xorshift64Star(config.seed, stream=2 * k)
-        for k, p in enumerate(config.persons)
-    }
+    video_rngs = [Xorshift64Star(config.seed, stream=2 * k) for k in range(len(config.persons))]
     for f in range(n_frames):
         t = f / config.fps
         boxes: list[BoundingBox] = []
         owners: list[str] = []
-        for p in config.persons:
-            rng = video_rngs[p.person_id]
+        for p, path, rng in zip(config.persons, paths, video_rngs):
             if rng.uniform() < config.dropout_prob:
                 continue
             r = ratio_signal(p, t)
             h = p.box_height + rng.gauss(config.box_noise)
             w = p.box_height / r + rng.gauss(config.box_noise)
-            cx, cy = paths[p.person_id].at(t)
+            cx, cy = path.at(t)
             cx += rng.gauss(config.box_noise)
             cy += rng.gauss(config.box_noise)
             boxes.append(BoundingBox(cx=cx, cy=cy, w=max(w, 1.0), h=max(h, 1.0)))

@@ -107,6 +107,14 @@ def test_rate_that_is_not_finite_and_above_twice_the_cutoff_rejected(rate):
         lowpass([9.81] * 100, rate)
 
 
+def test_rate_too_low_for_the_filter_names_the_sensor():
+    """With many phones the message must say which one is at fault."""
+    stream = SensorStream("phone-3", [k * 40_000 for k in range(100)], [(0.0, 0.0, 9.81)] * 100)
+    with pytest.raises(NyquistViolation,
+                       match=r"^sensor 'phone-3': CUTOFF_HZ 15.0 Hz needs a finite rate > 30.0 Hz, got 25.0$"):
+        step_features(stream, np.array([0.0, 1e6]))
+
+
 def inferred_rates(tmp_path):
     """The rates `read_sensor_csv` infers from simulated streams written
     to disk, as `match` reads them."""

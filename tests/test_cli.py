@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -10,7 +11,9 @@ import pytest
 from stridelink import cli, evaluation, fileio
 from stridelink.cli import main
 from stridelink.pipeline import PipelineParams
-from stridelink.simulator import ScenarioConfig
+from stridelink.similarity import SimilarityParams
+from stridelink.simulator import PersonSpec, ScenarioConfig
+from stridelink.tracer import TracerParams
 
 SCENARIO = {
     "persons": [
@@ -313,6 +316,12 @@ def test_unknown_similarity_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_scenario_without_persons_refused_by_its_record(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, scenario={**SCENARIO, "persons": []})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: scenario: at least one person required"]
+
+
 def test_invalid_scenario_value_reported(tmp_path, capsys):
     bad = {**SCENARIO, "persons": [{"person_id": "p0", "stride_frequency": 9.0}]}
     cfg = write_cfg(tmp_path, scenario=bad)
@@ -362,6 +371,57 @@ def test_every_config_field_has_a_kind():
                    if f.name not in sections]
     for annotation in annotations + list(cli.MATCH_KEYS.values()):
         assert annotation.removesuffix(" | None") in cli._KINDS, annotation
+
+
+# Where each config class sits in a config file, and the fields it needs to be built.
+CONFIG_PLACES = {
+    ScenarioConfig: (("scenario",), {"persons": (PersonSpec("p0", 0.9),)}),
+    PersonSpec: (("scenario", "persons", 0), {"person_id": "p0", "stride_frequency": 0.9}),
+    PipelineParams: (("match",), {}),
+    TracerParams: (("match", "tracer"), {}),
+    SimilarityParams: (("match", "similarity"), {}),
+}
+
+
+def non_finite_cases():
+    """(class, field, value): one number NaN or infinite, for every float
+    field of every config class and each coordinate of a path."""
+    cases = []
+    for cls in config_classes():
+        for f in fields(cls):
+            for bad in (math.nan, math.inf, -math.inf):
+                if f.type == "float":
+                    cases.append(pytest.param(cls, f.name, bad, id=f"{cls.__name__}.{f.name}-{bad}"))
+                elif f.type == "tuple[tuple[float, float], ...]":
+                    cases += [pytest.param(cls, f.name, ((50.0, 380.0), point),
+                                           id=f"{cls.__name__}.{f.name}[1][{k}]-{bad}")
+                              for k, point in enumerate([(bad, 380.0), (590.0, bad)])]
+                else:
+                    assert "float" not in f.type, f"no non-finite case for {cls.__name__}.{f.name}"
+    return cases
+
+
+def test_every_config_class_has_a_place():
+    assert set(CONFIG_PLACES) == set(config_classes())
+
+
+@pytest.mark.parametrize("cls, name, value", non_finite_cases())
+def test_non_finite_config_number_refused_by_its_record(tmp_path, capsys, cls, name, value):
+    """cli checks only the JSON kind, so NaN and inf, which json reads from
+    NaN and Infinity tokens, are each refused by the record that holds them."""
+    place, required = CONFIG_PLACES[cls]
+    with pytest.raises(ValueError, match=name):
+        cls(**{**required, name: value})
+    cfg = copy.deepcopy({"scenario": SCENARIO, "match": MATCH})
+    section = cfg
+    for key in place:
+        section = section[key] if isinstance(key, int) else section.setdefault(key, {})
+    section[name] = value
+    path = write_cfg(tmp_path, scenario=cfg["scenario"], match=cfg["match"])
+    assert main([{"scenario": "simulate", "match": "match"}[place[0]], "--config", path,
+                 "--out", str(tmp_path / "out")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and name in line
 
 
 @pytest.mark.parametrize("path", [5, [[1, 2, 3]], [["a", 1]], [[50, 10**400], [590, 380]]],
@@ -417,12 +477,15 @@ def test_invalid_match_value_reported(tmp_path, capsys):
     ("ts_gate", math.nan, "a number"),
 ])
 def test_match_value_of_wrong_json_type_reported(tmp_path, capsys, key, value, kind):
+    """NaN is of the JSON kind "a number", so its record, not the kind, refuses it."""
     simulated(tmp_path)
     capsys.readouterr()
     cfg = write_cfg(tmp_path, match={**MATCH, key: value}, name="t.json")
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: match.{key} must be {kind}, got {json.dumps(value)}"]
+    refused_by_kind = value == value
+    assert err == [f"error: match.{key} must be {kind}, got {json.dumps(value)}" if refused_by_kind
+                   else f"error: match: {key} must be finite and positive"]
 
 
 @pytest.mark.parametrize("command", ["match", "sweep"])

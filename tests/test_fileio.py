@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stridelink.evaluation import TsSweepRow
-from stridelink.model import BoundingBox, DetectionFrame
+from stridelink.model import BoundingBox, DetectionFrame, SensorStream
 from stridelink.fileio import (
     FormatError,
     format_sweep_table,
@@ -48,6 +48,16 @@ def test_sensor_csv_round_trip_exactly(tmp_path, data):
     assert back.ts_us.dtype == np.int64 and back.samples.dtype == np.float64
     assert np.array_equal(back.ts_us, data.streams[0].ts_us)
     assert np.array_equal(back.samples, data.streams[0].samples)
+
+
+@pytest.mark.parametrize("sensor_id", ["", ".hidden", "x/y"], ids=["empty", "dot-file", "separator"])
+def test_stream_whose_id_cannot_name_its_file_not_written(tmp_path, sensor_id):
+    """read_sensor_csv names a stream by its file's stem, so the id must be one."""
+    stream = SensorStream(sensor_id, [0, 10_000], [(0.0, 0.0, 9.81)] * 2)
+    path = tmp_path / "s.csv"
+    with pytest.raises(ValueError, match=rf"^sensor id {re.escape(json.dumps(sensor_id))} cannot name a file: "):
+        write_sensor_csv(str(path), stream)
+    assert not path.exists()
 
 
 def test_inferred_rate_recovers_regular_sampling(tmp_path, data):
@@ -102,6 +112,17 @@ def test_truth_frame_key_not_written_as_write_truth_writes_it_rejected(tmp_path,
     assert str(info.value) == f"{path}: box_owners key {json.dumps(key)} is not a frame index"
 
 
+def test_truth_frame_key_beyond_the_digit_limit_rejected(tmp_path, data):
+    """int() refuses a key of 5,000 digits with an error that names no file."""
+    path = tmp_path / "truth.json"
+    write_truth(str(path), data.sensor_owners, data.box_owners)
+    key = "1" * 5000
+    path.write_text(path.read_text().replace('"box_owners": {', f'"box_owners": {{"{key}": [],', 1))
+    with pytest.raises(FormatError) as info:
+        read_truth(str(path))
+    assert str(info.value) == f'{path}: box_owners key "{key}" is not a frame index'
+
+
 def test_truth_that_is_not_an_object_rejected(tmp_path):
     path = tmp_path / "truth.json"
     path.write_text("[]")
@@ -132,6 +153,25 @@ def test_detection_field_of_wrong_type_named_with_position(tmp_path, record, mes
     path = tmp_path / "bad.jsonl"
     path.write_text('{"frame":0,"ts_us":0,"boxes":[]}\n' + record + "\n")
     with pytest.raises(FormatError, match=rf"bad\.jsonl:2: {re.escape(message)}$"):
+        read_detections(str(path))
+
+
+HUGE = "1" + "0" * 400  # a JSON integer beyond float range
+
+
+@pytest.mark.parametrize("record, message", [
+    ('{"frame":1,"ts_us":0,"boxes":[{"cx":1,"cy":2,"w":%s,"h":4}]}' % HUGE,
+     f"boxes[0].w must be a number, got {HUGE}"),
+    ('{"frame":1,"ts_us":%s,"boxes":[]}' % HUGE, "frame_index 1: timestamp beyond int64"),
+    ('{"frame":1,"ts_us":0,"boxes":{}}', "boxes must be a list, got an object"),
+    ('{"frame":1,"ts_us":0,"boxes":[{"cx":1,"cy":2,"w":3,"h":4},[1,2,3,4]]}', "boxes[1] must be an object, got a list"),
+], ids=["box-field-beyond-float", "ts_us-beyond-int64", "boxes-object", "box-list"])
+def test_detection_value_out_of_range_or_of_wrong_shape_named_with_position(tmp_path, record, message):
+    """Each is a FormatError naming the line, not a traceback, a later
+    failure in the pipeline or a frame that reads as empty."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"frame":0,"ts_us":0,"boxes":[]}\n' + record + "\n")
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: {re.escape(message)}$"):
         read_detections(str(path))
 
 

@@ -46,7 +46,8 @@ def test_negative_width_flagged():
 
 @given(st.floats(), st.floats(), st.floats(), st.floats())
 def test_box_builds_exactly_when_the_box_rule_holds(cx, cy, w, h):
-    holds = math.isfinite(cx) and math.isfinite(cy) and math.isfinite(w) and math.isfinite(h) and w > 0 and h > 0
+    holds = (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(w) and math.isfinite(h) and w > 0 and h > 0
+             and h / w < math.inf)
     try:
         BoundingBox(cx, cy, w, h)
     except ValueError:
@@ -65,9 +66,9 @@ def test_frame_builds_exactly_when_its_fields_are_integers_and_its_timestamp_not
     try:
         built = DetectionFrame(i, ts)
     except ValueError:
-        assert not (integers and ts >= 0)
+        assert not (integers and 0 <= ts < 2**63)
     else:
-        assert integers and ts >= 0
+        assert integers and 0 <= ts < 2**63
         assert (type(built.frame_index), type(built.timestamp)) == (int, int)
         assert (built.frame_index, built.timestamp) == (i, ts)
 
@@ -80,6 +81,19 @@ def test_frame_builds_exactly_when_its_fields_are_integers_and_its_timestamp_not
 def test_frame_that_cannot_be_built_named(i, ts, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         DetectionFrame(i, ts)
+
+
+def test_frame_timestamp_fits_int64():
+    """The pipeline derives its frame grid from the timestamps in numpy."""
+    assert DetectionFrame(0, 2**63 - 1).timestamp == 2**63 - 1
+    with pytest.raises(ValueError, match=r"^frame_index 0: timestamp beyond int64$"):
+        DetectionFrame(0, 2**63)
+
+
+def test_box_whose_ratio_overflows_cannot_be_built():
+    """Each side is finite and positive, but h / w is inf."""
+    with pytest.raises(ValueError, match=r"^h / w must be finite, got 1e\+300 / 1e-300$"):
+        BoundingBox(0, 0, 1e-300, 1e300)
 
 
 def test_decreasing_frame_index_flagged():

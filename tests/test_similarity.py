@@ -401,6 +401,16 @@ def test_non_finite_push_rejected(bad):
     assert len(stream) == 1
 
 
+def test_non_finite_extend_named_at_its_own_frame():
+    """Not at frame 8, the first one the fill would push."""
+    stream = ExtremeStream(10, start_frame=5)
+    stream.extend(5, 1.0)
+    stream.extend(7, 2.0)
+    with pytest.raises(ValueError, match=r"^non-finite value inf at frame 10$"):
+        stream.extend(10, math.inf)
+    assert len(stream) == 3
+
+
 def test_nan_sequence_rejected_where_the_nan_is():
     with pytest.raises(ValueError, match="non-finite value nan at frame 2"):
         detect_extremes([1.0, 2.0, math.nan, 0.5, 0.2, 0.1], 2)

@@ -36,6 +36,14 @@ def clean_person(**kw):
     return PersonSpec(**defaults)
 
 
+def config_from(kw):
+    """clean_config(**kw), each person of kw given as clean_person's keyword
+    arguments, so a case builds its records inside pytest.raises."""
+    if "persons" in kw:
+        kw = {**kw, "persons": tuple(clean_person(**p) for p in kw["persons"])}
+    return clean_config(**kw)
+
+
 def clean_config(**kw):
     defaults = dict(
         persons=(clean_person(),),
@@ -211,27 +219,28 @@ def test_path_traversed_at_constant_speed():
         dict(dropout_prob=1.0),
         dict(dropout_prob=-0.1),
         dict(box_noise=-1.0),
-        dict(persons=(clean_person(), clean_person())),
-        dict(
-            persons=(
-                clean_person(sensor_id="x"),
-                clean_person(person_id="p1", sensor_id="x"),
-            )
-        ),
-        dict(persons=(clean_person(stride_frequency=0.2),)),
-        dict(persons=(clean_person(stride_frequency=0.3),)),  # boundary excluded
-        dict(persons=(clean_person(stride_frequency=3.0),)),
-        dict(persons=(clean_person(stride_frequency=3.5),)),
-        dict(persons=(clean_person(base_ratio=1.0, ratio_amplitude=1.0),)),
-        dict(persons=(clean_person(acc_peak=-1.0),)),
-        dict(persons=(clean_person(carry_noise=-0.5),)),
-        dict(persons=(clean_person(box_height=0.0),)),
-        dict(persons=(clean_person(path=()),)),
+        dict(persons=({}, {})),
+        dict(persons=(dict(sensor_id="x"), dict(person_id="p1", sensor_id="x"))),
+        dict(persons=(dict(stride_frequency=0.2),)),
+        dict(persons=(dict(stride_frequency=0.3),)),  # boundary excluded
+        dict(persons=(dict(stride_frequency=3.0),)),
+        dict(persons=(dict(stride_frequency=3.5),)),
+        dict(persons=(dict(base_ratio=1.0, ratio_amplitude=1.0),)),
+        dict(persons=(dict(acc_peak=-1.0),)),
+        dict(persons=(dict(carry_noise=-0.5),)),
+        dict(persons=(dict(box_height=0.0),)),
+        dict(persons=(dict(path=()),)),
     ],
 )
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigError):
-        generate(clean_config(**kw))
+        config_from(kw)
+
+
+def test_invalid_person_refused_when_built():
+    """A record that exists is valid: the rule holds before generate runs."""
+    with pytest.raises(ConfigError, match=r"^p0: stride_frequency outside \(0\.3, 3\.0\) Hz$"):
+        PersonSpec("p0", 9.0)
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -242,11 +251,11 @@ def test_invalid_configs_rejected(kw):
     (dict(fps=math.nan), "fps must be finite, got nan"),
     (dict(acc_rate=math.nan), "acc_rate must be finite, got nan"),
     (dict(dropout_prob=-math.inf), "dropout_prob must be finite, got -inf"),
-    (dict(persons=(clean_person(box_height=math.nan),)), "p0: box_height must be finite, got nan"),
-    (dict(persons=(clean_person(phase=math.inf),)), "p0: phase must be finite, got inf"),
-    (dict(persons=(clean_person(), clean_person(person_id="p1", acc_phase_offset=-math.inf))),
+    (dict(persons=(dict(box_height=math.nan),)), "p0: box_height must be finite, got nan"),
+    (dict(persons=(dict(phase=math.inf),)), "p0: phase must be finite, got inf"),
+    (dict(persons=({}, dict(person_id="p1", acc_phase_offset=-math.inf))),
      "p1: acc_phase_offset must be finite, got -inf"),
-    (dict(persons=(clean_person(path=((0.0, 0.0), (100.0, math.nan))),)),
+    (dict(persons=(dict(path=((0.0, 0.0), (100.0, math.nan))),)),
      "p0: path point 1 must be finite, got (100.0, nan)"),
 ], ids=["box_noise-nan", "duration-inf", "acc_rate-inf", "duration-nan", "fps-nan", "acc_rate-nan",
         "dropout_prob-neg-inf", "box_height-nan", "phase-inf", "acc_phase_offset-neg-inf", "path-nan"])
@@ -254,7 +263,7 @@ def test_non_finite_config_number_named(kw, message):
     """NaN slips past every comparison and inf overflows the frame count,
     so each float field and path coordinate is checked first."""
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        generate(clean_config(**kw))
+        config_from(kw)
 
 
 # random number generator
