@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.recfunctions import structured_to_unstructured
 
 from .evaluation import TsSweepRow, stage_pairing
-from .model import BoundingBox, DetectionFrame, SensorStream
+from .model import BoundingBox, DetectionFrame, SensorStream, order_fault
 from .pipeline import MatchRun
 
 SENSOR_HEADER = ["ts_us", "ax", "ay", "az"]
@@ -65,7 +65,7 @@ def read_detections(path: str) -> list[DetectionFrame]:
     """Frames of a detection log. frame and ts_us must be JSON integers,
     boxes a list of objects and each box field a number a float holds; a
     boolean is neither. A rejection, also of a box or frame that breaks its
-    own rule, names the line and box."""
+    own rule or of a frame `model.order_fault` refuses, names the line."""
     frames: list[DetectionFrame] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -94,7 +94,11 @@ def read_detections(path: str) -> list[DetectionFrame]:
                         raise _not_a_number(b, k) from None
                     except ValueError as exc:
                         raise ValueError(f"boxes[{k}]: {exc}") from None
-                frames.append(DetectionFrame(rec["frame"], rec["ts_us"], tuple(boxes)))
+                frame = DetectionFrame(rec["frame"], rec["ts_us"], tuple(boxes))
+                fault = order_fault(frames[-1] if frames else None, frame)
+                if fault:
+                    raise ValueError(fault)
+                frames.append(frame)
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return frames

@@ -3,11 +3,12 @@
 Timestamps are integer microseconds since epoch so stream alignment and
 tests stay bit-exact. A sensor recording is two read-only numpy arrays.
 Each value here is checked at construction, then immutable and safe to
-share; `validate_detection_log` holds the rules that span frames.
+share; `order_fault` holds the one rule that spans frames.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -53,9 +54,11 @@ class DetectionFrame:
             frame_index, timestamp = operator.index(frame_index), operator.index(timestamp)
         except TypeError:
             raise ValueError(f"frame_index {frame_index!r}, timestamp {timestamp!r}: both must be integers") from None
+        if not -_INT64_MAX - 1 <= frame_index <= _INT64_MAX:  # the frame grid is computed in numpy
+            raise ValueError("frame_index beyond int64")
         if timestamp < 0:
             raise ValueError(f"frame_index {frame_index}: negative timestamp")
-        if timestamp > _INT64_MAX:  # the frame grid is computed in numpy
+        if timestamp > _INT64_MAX:
             raise ValueError(f"frame_index {frame_index}: timestamp beyond int64")
         object.__setattr__(self, "frame_index", frame_index)
         object.__setattr__(self, "timestamp", timestamp)
@@ -127,6 +130,16 @@ class GroundTruth:
             seen[person_id] = sensor_id
 
 
+def order_fault(prev: DetectionFrame | None, frame: DetectionFrame) -> str | None:
+    """How `frame` breaks the order rule after `prev` (None before a first
+    frame), or None: index and timestamp both increase, an index may skip."""
+    if prev is not None and frame.frame_index <= prev.frame_index:
+        return f"frame_index {frame.frame_index} does not increase past {prev.frame_index}"
+    if prev is not None and frame.timestamp <= prev.timestamp:
+        return f"frame_index {frame.frame_index}: timestamp {frame.timestamp} does not increase past {prev.timestamp}"
+    return None
+
+
 @dataclass
 class ValidationReport:
     """Outcome of a structural check over a detection log."""
@@ -139,23 +152,6 @@ class ValidationReport:
 
 
 def validate_detection_log(frames: Sequence[DetectionFrame]) -> ValidationReport:
-    """Check a detection log against the rule that spans its frames:
-    frame indices and timestamps must increase; skipped indices are allowed.
-    Pure report-style check: never raises, same input gives the same report.
-    This is the one rule of a log: `run_pipeline` raises its first violation.
-    """
-    report = ValidationReport()
-    prev_index: int | None = None
-    prev_ts: Timestamp | None = None
-    for pos, frame in enumerate(frames):
-        if prev_index is not None and frame.frame_index <= prev_index:
-            report.violations.append(
-                f"frame_index {frame.frame_index} at position {pos} does not increase past {prev_index}"
-            )
-        if prev_ts is not None and frame.timestamp <= prev_ts:
-            report.violations.append(
-                f"frame_index {frame.frame_index}: timestamp {frame.timestamp} does not increase past {prev_ts}"
-            )
-        prev_index = frame.frame_index
-        prev_ts = frame.timestamp
-    return report
+    """Every `order_fault` of a log in log order, at most one per frame; it
+    never raises. `run_pipeline` raises the first."""
+    return ValidationReport([fault for fault in itertools.starmap(order_fault, itertools.pairwise(frames)) if fault])

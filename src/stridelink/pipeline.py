@@ -82,8 +82,8 @@ def run_pipeline(
     params: PipelineParams = PipelineParams(),
 ) -> MatchRun:
     """Process a detection log against sensor streams, frame by frame.
-    A log that breaks `model.validate_detection_log`'s rule is rejected
-    before any work, with its first violation."""
+    A log out of order is rejected with its first `model.order_fault`
+    before any work: the frame grid is built from the whole log."""
     frames = list(frames)
     if not frames:
         return MatchRun([], {}, 0.0)

@@ -25,6 +25,7 @@ and sensor noise; adding a person never perturbs the others' draws.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -152,6 +153,10 @@ class ScenarioConfig:
         if not self.persons:
             raise ConfigError("at least one person required")
         _require_finite(self)
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))  # a numpy integer is stored as an int
+        except TypeError:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
         if self.fps <= 0:

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .model import BoundingBox, DetectionFrame
+from .model import BoundingBox, DetectionFrame, order_fault
 
 TRACE_ID_FORMAT = "t{:04d}"
 
@@ -60,7 +60,7 @@ class Tracker:
     """Traces of one camera stream, advanced one frame of detections at a time.
 
     `traces` holds every trace ever seen, in order of birth; only the live
-    ones are searched when a frame arrives. Frame indices must increase.
+    ones are searched when a frame arrives. Frames must pass `model.order_fault`.
     `retired` holds the ids of the traces the last update terminated.
     """
 
@@ -68,8 +68,7 @@ class Tracker:
         self.params = params
         self.traces: dict[str, Trace] = {}
         self._live: dict[int, Trace] = {}  # trace ordinal -> live trace
-        self._next_ordinal = 0
-        self._last_frame = -math.inf
+        self._last: DetectionFrame | None = None
         self.retired: list[str] = []
 
     def update(self, frame: DetectionFrame) -> dict[int, str]:
@@ -83,14 +82,14 @@ class Tracker:
         for more than max_gap frames are terminated first and take no box.
 
         Returns a map of box ordinal -> trace_id covering every box of the
-        frame.
+        frame. A frame whose index or timestamp is not ahead raises its fault.
         """
+        fault = order_fault(self._last, frame)
+        if fault:
+            raise ValueError(fault)
+        self._last = frame
         f = frame.frame_index
-        params = self.params
-        if f <= self._last_frame:
-            raise ValueError(f"frame {f} is not ahead of frame {self._last_frame}")
-        self._last_frame = f
-        retired = [k for k, t in self._live.items() if f - t.last_seen > params.max_gap]
+        retired = [k for k, t in self._live.items() if f - t.last_seen > self.params.max_gap]
         for trace_ord in retired:
             self._live.pop(trace_ord).active = False
         self.retired = [TRACE_ID_FORMAT.format(trace_ord) for trace_ord in retired]
@@ -99,7 +98,7 @@ class Tracker:
         for trace_ord, trace in self._live.items():
             gap = f - trace.last_seen
             last = trace.last_box
-            radius = search_radius(last, gap, params.radius_factor)
+            radius = search_radius(last, gap, self.params.radius_factor)
             for ordinal, box in enumerate(frame.boxes):
                 dist = math.hypot(box.cx - last.cx, box.cy - last.cy)
                 if dist <= radius:
@@ -120,8 +119,7 @@ class Tracker:
         for ordinal, box in enumerate(frame.boxes):
             if ordinal in assignments:
                 continue
-            trace_ord = self._next_ordinal
-            self._next_ordinal += 1
+            trace_ord = len(self.traces)  # every trace ever born is in traces
             trace = Trace(TRACE_ID_FORMAT.format(trace_ord), [(f, box)], last_seen=f)
             self.traces[trace.trace_id] = self._live[trace_ord] = trace
             assignments[ordinal] = trace.trace_id

@@ -12,8 +12,9 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from stridelink import fileio
+from stridelink import fileio, validate_detection_log
 from stridelink.evaluation import STAGES
+from stridelink.model import DetectionFrame, order_fault
 from stridelink.pipeline import PipelineParams, run_pipeline
 from stridelink.simulator import generate
 
@@ -65,3 +66,20 @@ def test_untimed_session_passes_its_checks(tmp_path, monkeypatch):
     assert record["frames"] == len(data.frames)
     oracle = "".join(oracle_assignment_lines(work["run"], STAGES)).encode("utf-8")
     assert record["digest"] == hashlib.sha256(oracle).hexdigest()
+
+
+def test_validation_report_the_session_reads(monkeypatch):
+    """`bench/session.py` calls `validate_detection_log` and reads `.ok`
+    and `.violations`: every `order_fault` of the log, in log order."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    assert load_bench("session").validate_detection_log is validate_detection_log
+    frames = [DetectionFrame(f, ts) for f, ts in [(0, 0), (0, 10), (1, 10), (3, 20), (2, 30)]]
+    report = validate_detection_log(frames)
+    assert report.ok is False
+    assert report.violations == [order_fault(frames[0], frames[1]), order_fault(frames[1], frames[2]),
+                                 order_fault(frames[3], frames[4])]
+    assert report.violations == ["frame_index 0 does not increase past 0",
+                                 "frame_index 1: timestamp 10 does not increase past 10",
+                                 "frame_index 2 does not increase past 3"]
+    assert validate_detection_log(frames[2:4]).ok is True
+    assert validate_detection_log(frames[2:4]).violations == []

@@ -205,6 +205,21 @@ def test_invalid_box_rejected_by_validation(tmp_path, capsys):
         f"got {(box['cx'], box['cy'], box['w'], -5.0)}")
 
 
+def test_log_out_of_order_refused_naming_its_line_before_any_sensor_is_read(tmp_path, capsys):
+    """The reader refuses the log: match.sensors names a file that does not
+    exist, so reading a sensor first would give another error."""
+    simulated(tmp_path)
+    det = tmp_path / "out" / "detections.jsonl"
+    lines = det.read_text().splitlines()
+    rec = json.loads(lines[50])
+    assert (json.loads(lines[49])["frame"], rec["frame"]) == (49, 50)
+    rec["frame"] = 49
+    lines[50] = json.dumps(rec, separators=(",", ":"))
+    det.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(tmp_path, match={"detections": "out/detections.jsonl", "sensors": ["nope.csv"]}, name="o.json")
+    rejected(tmp_path, capsys, "match", cfg, f"{det}:51: frame_index 49 does not increase past 49")
+
+
 def test_sweep_requires_truth(tmp_path, capsys):
     simulated(tmp_path)
     cfg = write_cfg(

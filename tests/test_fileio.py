@@ -1,13 +1,15 @@
 import hashlib
+import itertools
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stridelink.evaluation import TsSweepRow
-from stridelink.model import BoundingBox, DetectionFrame, SensorStream
+from stridelink.model import BoundingBox, DetectionFrame, SensorStream, validate_detection_log
 from stridelink.fileio import (
     FormatError,
     format_sweep_table,
@@ -24,6 +26,7 @@ from stridelink.fileio import (
 from stridelink.pairing import Assignment
 from stridelink.pipeline import FrameResult, MatchRun
 from stridelink.simulator import generate
+from stridelink.tracer import Tracker
 
 from conftest import two_person_config
 from helpers import oracle_assignment_lines
@@ -163,9 +166,10 @@ HUGE = "1" + "0" * 400  # a JSON integer beyond float range
     ('{"frame":1,"ts_us":0,"boxes":[{"cx":1,"cy":2,"w":%s,"h":4}]}' % HUGE,
      f"boxes[0].w must be a number, got {HUGE}"),
     ('{"frame":1,"ts_us":%s,"boxes":[]}' % HUGE, "frame_index 1: timestamp beyond int64"),
+    ('{"frame":%s,"ts_us":1,"boxes":[]}' % HUGE, "frame_index beyond int64"),
     ('{"frame":1,"ts_us":0,"boxes":{}}', "boxes must be a list, got an object"),
     ('{"frame":1,"ts_us":0,"boxes":[{"cx":1,"cy":2,"w":3,"h":4},[1,2,3,4]]}', "boxes[1] must be an object, got a list"),
-], ids=["box-field-beyond-float", "ts_us-beyond-int64", "boxes-object", "box-list"])
+], ids=["box-field-beyond-float", "ts_us-beyond-int64", "frame-beyond-int64", "boxes-object", "box-list"])
 def test_detection_value_out_of_range_or_of_wrong_shape_named_with_position(tmp_path, record, message):
     """Each is a FormatError naming the line, not a traceback, a later
     failure in the pipeline or a frame that reads as empty."""
@@ -173,6 +177,64 @@ def test_detection_value_out_of_range_or_of_wrong_shape_named_with_position(tmp_
     path.write_text('{"frame":0,"ts_us":0,"boxes":[]}\n' + record + "\n")
     with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: {re.escape(message)}$"):
         read_detections(str(path))
+
+
+@pytest.mark.parametrize("frame, ts, message", [
+    (7, 70, "frame_index 7 does not increase past 7"),
+    (6, 70, "frame_index 6 does not increase past 7"),
+    (8, 60, "frame_index 8: timestamp 60 does not increase past 60"),
+    (8, 59, "frame_index 8: timestamp 59 does not increase past 60"),
+    (7, 60, "frame_index 7 does not increase past 7"),
+], ids=["repeated-index", "index-back", "repeated-timestamp", "timestamp-back", "both"])
+def test_detection_log_out_of_order_named_by_line(tmp_path, frame, ts, message):
+    """The reader checks each frame against the one before it, so no log it
+    returns breaks the order rule; blank lines are counted."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"frame":5,"ts_us":50,"boxes":[]}\n\n{"frame":7,"ts_us":60,"boxes":[]}\n'
+                    + json.dumps({"frame": frame, "ts_us": ts, "boxes": []}) + "\n")
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:4: {re.escape(message)}$"):
+        read_detections(str(path))
+
+
+@pytest.fixture(scope="module")
+def order_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("order")
+
+
+# steps of frame index and timestamp: mostly ahead, with repeats and steps back
+ORDER_STEPS = st.lists(st.tuples(*[st.sampled_from([-2, -1, 0, 1, 1, 1, 1, 2, 5])] * 2), max_size=6)
+
+
+@given(ORDER_STEPS)
+def test_one_order_rule_at_the_reader_the_validator_and_the_tracker(order_dir, steps):
+    """The reader, `validate_detection_log` and a Tracker refuse the same
+    logs, at the same frame and with the same fault."""
+    indices = itertools.accumulate((di for di, _ in steps), initial=100)
+    stamps = itertools.accumulate((dt for _, dt in steps), initial=1000)
+    frames = [DetectionFrame(f, ts, [BoundingBox(50.0, 50.0, 20.0, 40.0)]) for f, ts in zip(indices, stamps)]
+    path = str(order_dir / "detections.jsonl")
+    write_detections(path, frames)
+    # the rule, stated apart from the program
+    broken = [k for k in range(1, len(frames)) if not (frames[k].frame_index > frames[k - 1].frame_index
+                                                       and frames[k].timestamp > frames[k - 1].timestamp)]
+    report = validate_detection_log(frames)
+    assert report.ok == (not broken)
+    assert len(report.violations) == len(broken)
+    tracker = Tracker()
+    if not broken:
+        assert read_detections(path) == frames
+        for fr in frames:
+            tracker.update(fr)
+        return
+    k = broken[0]
+    with pytest.raises(FormatError) as refused:
+        read_detections(path)
+    assert str(refused.value) == f"{path}:{k + 1}: {report.violations[0]}"
+    for fr in frames[:k]:
+        tracker.update(fr)
+    with pytest.raises(ValueError) as refused:
+        tracker.update(frames[k])
+    assert str(refused.value) == report.violations[0]
 
 
 def test_negative_timestamp_named_with_line(tmp_path):

@@ -10,6 +10,7 @@ from stridelink.model import (
     DetectionFrame,
     GroundTruth,
     SensorStream,
+    order_fault,
     validate_detection_log,
 )
 
@@ -62,13 +63,15 @@ NUMBERS = st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
 
 @given(NUMBERS, NUMBERS)
 def test_frame_builds_exactly_when_its_fields_are_integers_and_its_timestamp_not_negative(i, ts):
+    """Both fields fit int64, and the timestamp is not negative."""
     integers = isinstance(i, (int, np.integer)) and isinstance(ts, (int, np.integer))
+    holds = integers and -2**63 <= i < 2**63 and 0 <= ts < 2**63
     try:
         built = DetectionFrame(i, ts)
     except ValueError:
-        assert not (integers and 0 <= ts < 2**63)
+        assert not holds
     else:
-        assert integers and 0 <= ts < 2**63
+        assert holds
         assert (type(built.frame_index), type(built.timestamp)) == (int, int)
         assert (built.frame_index, built.timestamp) == (i, ts)
 
@@ -90,6 +93,16 @@ def test_frame_timestamp_fits_int64():
         DetectionFrame(0, 2**63)
 
 
+def test_frame_index_fits_int64():
+    """A log with frames 0 and 10**400 would reach the pipeline's frame
+    grid, which numpy cannot build."""
+    assert DetectionFrame(-2**63, 0).frame_index == -2**63
+    assert DetectionFrame(2**63 - 1, 0).frame_index == 2**63 - 1
+    for index in (2**63, -2**63 - 1, 10**400):
+        with pytest.raises(ValueError, match=r"^frame_index beyond int64$"):
+            DetectionFrame(index, 0)
+
+
 def test_box_whose_ratio_overflows_cannot_be_built():
     """Each side is finite and positive, but h / w is inf."""
     with pytest.raises(ValueError, match=r"^h / w must be finite, got 1e\+300 / 1e-300$"):
@@ -99,21 +112,33 @@ def test_box_whose_ratio_overflows_cannot_be_built():
 def test_decreasing_frame_index_flagged():
     frames = [frame(5, 0), frame(4, 10)]
     report = validate_detection_log(frames)
-    assert any("frame_index 4" in v and "does not increase" in v for v in report.violations)
+    assert report.violations == ["frame_index 4 does not increase past 5"]
 
 
 def test_non_monotone_timestamp_flagged():
     frames = [frame(0, 100), frame(1, 100)]
     report = validate_detection_log(frames)
-    assert any("timestamp" in v for v in report.violations)
+    assert report.violations == ["frame_index 1: timestamp 100 does not increase past 100"]
 
 
 def test_validation_is_pure():
+    """Frame 2 breaks both halves of the rule and gets one fault, its index's."""
     frames = [frame(3, 5, BoundingBox(1, 1, 2, 5)), frame(2, 5)]
     first = validate_detection_log(frames).violations
     second = validate_detection_log(frames).violations
-    assert first == second == ["frame_index 2 at position 1 does not increase past 3",
-                               "frame_index 2: timestamp 5 does not increase past 5"]
+    assert first == second == ["frame_index 2 does not increase past 3"]
+
+
+@pytest.mark.parametrize("prev, fault", [
+    (None, None),
+    (frame(4, 99), None),
+    (frame(5, 0), "frame_index 5 does not increase past 5"),
+    (frame(6, 200), "frame_index 5 does not increase past 6"),
+    (frame(4, 100), "frame_index 5: timestamp 100 does not increase past 100"),
+    (frame(4, 101), "frame_index 5: timestamp 100 does not increase past 101"),
+], ids=["first", "ahead", "repeated-index", "index-back", "repeated-timestamp", "timestamp-back"])
+def test_order_fault_names_the_frame_and_the_one_before(prev, fault):
+    assert order_fault(prev, frame(5, 100)) == fault
 
 
 def test_two_sensors_cannot_claim_one_person():

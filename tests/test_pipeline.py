@@ -393,7 +393,7 @@ def test_detection_timestamp_that_does_not_increase_named_by_frame(stamps, monke
 def test_frame_index_that_does_not_increase_named_by_frame(index, monkeypatch):
     frames = list(generate(two_person_config(duration=300 / 30.0)).frames)
     frames[50] = DetectionFrame(index, frames[50].timestamp, frames[50].boxes)
-    rejected_log(frames, f"frame_index {index} at position 50 does not increase past 49", monkeypatch)
+    rejected_log(frames, f"frame_index {index} does not increase past 49", monkeypatch)
 
 
 def test_negative_timestamp_rejected():

@@ -237,6 +237,19 @@ def test_invalid_configs_rejected(kw):
         config_from(kw)
 
 
+@pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), (2.0, "2.0"), ("1", "'1'"), (None, "None")],
+                         ids=["fractional", "whole-float", "string", "null"])
+def test_seed_that_is_not_an_integer_refused_when_built(seed, shown):
+    """Not a TypeError from inside the generator when the scene is drawn."""
+    with pytest.raises(ConfigError, match=f"^seed must be an integer, got {re.escape(shown)}$"):
+        clean_config(seed=seed)
+
+
+def test_numpy_integer_seed_draws_the_scene_of_its_int():
+    assert type(clean_config(seed=np.int64(3)).seed) is int
+    assert generate(clean_config(seed=np.int64(3))).frames == generate(clean_config(seed=3)).frames
+
+
 def test_invalid_person_refused_when_built():
     """A record that exists is valid: the rule holds before generate runs."""
     with pytest.raises(ConfigError, match=r"^p0: stride_frequency outside \(0\.3, 3\.0\) Hz$"):

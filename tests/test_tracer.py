@@ -125,8 +125,21 @@ def test_frame_behind_the_last_processed_one_rejected():
     tracker = Tracker()
     tracker.update(DetectionFrame(10, 0, [box(0, 0)]))
     tracker.update(DetectionFrame(20, 1, []))
-    with pytest.raises(ValueError, match="frame 15 is not ahead of frame 20"):
+    with pytest.raises(ValueError, match="^frame_index 15 does not increase past 20$"):
         tracker.update(DetectionFrame(15, 2, [box(0, 0)]))
+
+
+@pytest.mark.parametrize("ts", [1, 0], ids=["repeated", "backwards"])
+def test_frame_whose_timestamp_is_not_ahead_rejected(ts):
+    """The tracker holds the log's whole order rule, not only its index half,
+    and a refused frame leaves the traces as they were."""
+    tracker = Tracker()
+    tracker.update(DetectionFrame(10, 0, [box(0, 0)]))
+    tracker.update(DetectionFrame(11, 1, [box(0, 0)]))
+    with pytest.raises(ValueError, match=f"^frame_index 12: timestamp {ts} does not increase past 1$"):
+        tracker.update(DetectionFrame(12, ts, [box(0, 0)]))
+    assert [entry[0] for entry in tracker.traces["t0000"].entries] == [10, 11]
+    assert tracker.update(DetectionFrame(12, 2, [box(0, 0)])) == {0: "t0000"}
 
 
 def test_retired_names_the_traces_each_update_terminated():
